@@ -14,7 +14,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from .manifold import GradientPair
 from .problems import FixedEntrySet, LowRankCorrProblem, modified_pca_init
 from .retractions import RetractionScheme
 from .solver import SafeguardParams, SolverConfig, SolverReport, solve
@@ -24,7 +23,6 @@ __all__ = [
     "AugLagState",
     "AugLagReport",
     "AugLagSubproblem",
-    "auglag_objective",
     "auglag_solve",
 ]
 
@@ -101,7 +99,6 @@ class AugLagSubproblem:
     """L_mu as a sphere-product problem, sharing one V^T V per evaluation."""
 
     manifold = "spheres"
-    symmetric_xg = True
 
     def __init__(self, base: LowRankCorrProblem, fes: FixedEntrySet, lam, mu):
         if mu <= 0.0:
@@ -153,15 +150,6 @@ class AugLagSubproblem:
         v = np.asarray(v, dtype=float)
         _, w1, _, w2 = self._weighted(v.T @ v)
         return 2.0 * (v @ (w1 + 0.5 * self.mu * w2))
-
-
-def auglag_objective(v, base, fes, lam, mu) -> GradientPair:
-    """Value and gradient of the augmented Lagrangian at V.
-
-    With an empty entry set this is exactly the base objective.
-    """
-    f, g = AugLagSubproblem(base, fes, lam, mu).fg(v)
-    return GradientPair(f, g)
 
 
 def _sub_config(cfg: AugLagConfig, eps, eps_x, eps_f) -> SolverConfig:

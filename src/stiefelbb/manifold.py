@@ -5,14 +5,11 @@ stored column-major. A direction E is tangent at X when X^T E is
 skew-symmetric. The Euclidean gradient of the objective at X is written G.
 """
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 __all__ = [
-    "GradientPair",
-    "StiefelPoint",
-    "TangentDirection",
     "feasibility_error",
     "canonical_gradient",
     "tangent_projection",
@@ -23,21 +20,8 @@ __all__ = [
     "random_stiefel",
 ]
 
-DEFAULT_FEAS_TOL = 1e-12
-SKEW_TOL = 1e-10
-
-
-class GradientPair(NamedTuple):
-    """Objective value together with the Euclidean gradient at the same point."""
-
-    value: float
-    euclid_grad: np.ndarray
-
-
 def _as_matrix(a, name="matrix"):
-    """Coerce input (array or wrapper) to a 2-d float array in column-major order."""
-    if isinstance(a, (StiefelPoint, TangentDirection)):
-        return a.mat
+    """Coerce input to a finite 2-d float array in column-major order."""
     m = np.asfortranarray(a, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
@@ -63,83 +47,13 @@ def feasibility_error(x) -> float:
     return float(np.linalg.norm(x.T @ x - np.eye(p)))
 
 
-class StiefelPoint:
-    """An n x p matrix with orthonormal columns, checked at construction.
-
-    Parameters
-    ----------
-    mat : array_like, shape (n, p)
-        Candidate point with n >= p.
-    feas_tol : float, optional
-        Largest accepted value of ||X^T X - I_p||_F. Iterates that have
-        drifted beyond this must be kept as raw arrays instead.
-    """
-
-    __slots__ = ("mat", "feas_tol")
-
-    def __init__(self, mat, feas_tol: float = DEFAULT_FEAS_TOL):
-        m = _as_matrix(mat, "X")
-        n, p = m.shape
-        if n < p:
-            raise ValueError(f"need n >= p, got shape {m.shape}")
-        err = feasibility_error(m)
-        if err > feas_tol:
-            raise ValueError(
-                f"columns not orthonormal: ||X^T X - I||_F = {err:.3e} > {feas_tol:.1e}"
-            )
-        self.mat = m
-        self.feas_tol = feas_tol
-        self.mat.setflags(write=False)
-
-    @property
-    def shape(self):
-        return self.mat.shape
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.mat.astype(dtype)
-        return self.mat
-
-
-class TangentDirection:
-    """An n x p direction E with skew-symmetric X^T E, tied to its base point."""
-
-    __slots__ = ("mat", "base")
-
-    def __init__(self, mat, base):
-        m = _as_matrix(mat, "E")
-        x = _as_matrix(base, "X")
-        if m.shape != x.shape:
-            raise ValueError(f"direction shape {m.shape} != point shape {x.shape}")
-        viol = np.linalg.norm(x.T @ m + m.T @ x)
-        if viol > SKEW_TOL * max(1.0, np.linalg.norm(m)):
-            raise ValueError(
-                f"X^T E not skew-symmetric: ||X^T E + E^T X||_F = {viol:.3e}"
-            )
-        self.mat = m
-        self.base = base
-        self.mat.setflags(write=False)
-
-    @property
-    def shape(self):
-        return self.mat.shape
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.mat.astype(dtype)
-        return self.mat
-
-
 def _check_shapes(x, g):
     if x.shape != g.shape:
         raise ValueError(f"point shape {x.shape} != gradient shape {g.shape}")
 
 
 def canonical_gradient(x, g):
-    """Gradient under the canonical metric: G - X G^T X.
-
-    Returns a plain array; wrap in TangentDirection for a checked object.
-    """
+    """Gradient under the canonical metric: G - X G^T X."""
     x = _as_matrix(x, "X")
     g = _as_matrix(g, "G")
     _check_shapes(x, g)

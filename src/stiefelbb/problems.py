@@ -1,7 +1,7 @@
 """Objective implementations and generators for the bundled test problems.
 
 Each problem exposes value(x), fg(x) -> (value, euclidean_gradient), grad(x),
-a shape for random starts, and metadata (name, known_optimum, symmetric_xg).
+a shape for random starts, and metadata (name, known_optimum).
 """
 
 import warnings
@@ -9,18 +9,12 @@ import warnings
 import numpy as np
 import scipy.io
 
-from .manifold import GradientPair
-
 __all__ = [
     "TraceEigenProblem",
     "HeterogeneousQuadraticProblem",
     "LowRankCorrProblem",
     "FixedEntrySet",
-    "trace_eigen_eval",
-    "heterogeneous_eval",
     "heterogeneous_problem",
-    "lowrank_corr_eval",
-    "nlcmres",
     "ex2_matrix",
     "ex3_matrix",
     "ex3_weights",
@@ -50,7 +44,6 @@ class TraceEigenProblem:
     matrix-free multiply (callable X -> A X, with n given explicitly)."""
 
     manifold = "stiefel"
-    symmetric_xg = True
 
     def __init__(self, a, p, n=None):
         if callable(a):
@@ -87,16 +80,6 @@ class TraceEigenProblem:
         return -2.0 * self._apply(np.asarray(x, dtype=float))
 
 
-def trace_eigen_eval(a, x) -> GradientPair:
-    """Value and gradient of -tr(X^T A X) for symmetric A (dense or callable)."""
-    x = np.asarray(x, dtype=float)
-    if callable(a):
-        ax = a(x)
-    else:
-        ax = _require_symmetric(a, "A") @ x
-    return GradientPair(-float(np.vdot(x, ax)), -2.0 * ax)
-
-
 class HeterogeneousQuadraticProblem:
     """F(X) = sum_i X_(i)^T A_i X_(i) with A_i = Diag(n(i-1)+1, ..., l_i, ..., ni):
     consecutive integers except the i-th entry, which holds the planted
@@ -104,7 +87,6 @@ class HeterogeneousQuadraticProblem:
     (+-e_1, ..., +-e_p) with optimal value sum(l)."""
 
     manifold = "stiefel"
-    symmetric_xg = False
 
     def __init__(self, n, p, l):
         l = np.asarray(l, dtype=float).ravel()
@@ -156,12 +138,6 @@ def heterogeneous_problem(n, p, l_mode="minus-one", seed=None):
     return HeterogeneousQuadraticProblem(n, p, l)
 
 
-def heterogeneous_eval(prob, x) -> GradientPair:
-    """Value and gradient of the heterogeneous diagonal quadratic."""
-    f, g = prob.fg(x)
-    return GradientPair(f, g)
-
-
 class LowRankCorrProblem:
     """theta(V) = 1/2 ||H o (V^T V - C)||_F^2 over unit columns V in R^{r x n}.
 
@@ -170,7 +146,6 @@ class LowRankCorrProblem:
     """
 
     manifold = "spheres"
-    symmetric_xg = True  # p = 1 per column, cross products are scalars
 
     def __init__(self, c, r, h=None, name="nlcm"):
         c = _require_symmetric(c, "C")
@@ -226,17 +201,6 @@ class LowRankCorrProblem:
         if self.h is not None:
             m = self.h * m
         return float(np.linalg.norm(m))
-
-
-def lowrank_corr_eval(prob, v) -> GradientPair:
-    """Value and gradient of the weighted low-rank correlation objective."""
-    f, g = prob.fg(v)
-    return GradientPair(f, g)
-
-
-def nlcmres(prob, v) -> float:
-    """Residual ||H o (V^T V - C)||_F of a candidate factorization."""
-    return prob.nlcmres(v)
 
 
 def ex2_matrix(n):

@@ -2,9 +2,11 @@
 
 Every scheme maps a point X and a direction to a curve Y(tau) that stays
 feasible for all tau >= 0 and leaves X with a prescribed initial velocity.
-Each public function evaluates the curve at one tau and returns a
-CurveEvaluation whose cached_factor allows cheap re-evaluation at another
-tau during backtracking (see reevaluate).
+Each retract_<kind> builder checks its inputs and returns the curve object
+the solver's engines build: curve.eval(tau) gives Y(tau), and the
+tau-independent blocks formed at construction are reused by every
+evaluation, so backtracking over tau costs only the small tau-dependent
+work.
 """
 
 import math
@@ -17,10 +19,8 @@ from .manifold import _as_matrix
 
 __all__ = [
     "RetractionScheme",
-    "CurveEvaluation",
     "GeneralizedConstraint",
     "retract_new",
-    "retract_new_controlled",
     "retract_polar",
     "retract_qr",
     "retract_gradproj",
@@ -28,7 +28,6 @@ __all__ = [
     "retract_geodesic",
     "retract_lowrank_column",
     "retract_generalized",
-    "reevaluate",
     "qr_positive",
     "polar_project",
     "gtau_function",
@@ -79,17 +78,6 @@ class RetractionScheme:
             raise ValueError(f"unknown gtau {self.gtau!r}, expected one of {GTAU_NAMES}")
 
 
-class CurveEvaluation:
-    """One point on a feasible curve plus the reusable factor for new taus."""
-
-    __slots__ = ("y", "tau", "cached_factor")
-
-    def __init__(self, y, tau, cached_factor=None):
-        self.y = y
-        self.tau = tau
-        self.cached_factor = cached_factor
-
-
 def _check_lu(lu):
     d = np.abs(np.diag(lu))
     if not np.all(np.isfinite(lu)) or d.min() == 0.0:
@@ -132,14 +120,8 @@ class _NewCurve:
         return float(np.trace(t))
 
 
-def _new_curve_from_e(x, e, gtau):
-    xte = x.T @ e
-    w = x @ xte - e
-    return _NewCurve(x, w, xte, gtau)
-
-
-def retract_new(x, e, tau, gtau="linear"):
-    """Evaluate the update scheme Y(tau) = (2X + tau W) J^{-1} - X at one tau.
+def retract_new(x, e, gtau="linear"):
+    """The update scheme Y(tau) = (2X + tau W) J^{-1} - X, W = -(I - X X^T) E.
 
     Parameters
     ----------
@@ -148,8 +130,6 @@ def retract_new(x, e, tau, gtau="linear"):
     e : array_like, shape (n, p)
         Tangent direction at x (X^T E skew-symmetric); the curve satisfies
         Y(0) = X and Y'(0) = -E.
-    tau : float
-        Nonnegative evaluation parameter.
     gtau : {"linear", "expdamped"}
         The g(tau) term in J: tau/2 or tau*exp(-tau)/2.
     """
@@ -161,34 +141,7 @@ def retract_new(x, e, tau, gtau="linear"):
     viol = np.linalg.norm(xte + xte.T)
     if viol > 1e-6 * max(1.0, np.linalg.norm(e)):
         raise ValueError(f"E is not tangent at X: ||X^T E + E^T X||_F = {viol:.3e}")
-    curve = _NewCurve(x, x @ xte - e, xte, gtau)
-    return CurveEvaluation(curve.eval(tau), tau, curve)
-
-
-def retract_new_controlled(x, g, rho, tau, gtau="linear"):
-    """Same scheme with the drift-safe W-hat = -(I - X (X^T X)^{-1} X^T) D_rho.
-
-    Accepts a possibly infeasible x; guarantees the new feasibility error does
-    not exceed the current one (up to roundoff). X^T X must be invertible.
-    """
-    x = _as_matrix(x, "X")
-    g = _as_matrix(g, "G")
-    if x.shape != g.shape:
-        raise ValueError(f"shape mismatch: X {x.shape}, G {g.shape}")
-    xtx = x.T @ x
-    xtg = x.T @ g
-    try:
-        cho = scipy.linalg.cho_factor(xtx, check_finite=False)
-    except np.linalg.LinAlgError as err:
-        raise np.linalg.LinAlgError("X^T X is singular (rank-deficient iterate)") from err
-    two_rho = 2.0 * rho
-    d = g - x @ (two_rho * xtg.T + (1.0 - two_rho) * xtg)
-    w = x @ scipy.linalg.cho_solve(cho, x.T @ d, check_finite=False) - d
-    # J takes 2 rho (X^T G - G^T X): equal to X^T D_rho on the manifold and
-    # exactly skew for any X, so the curve contracts the feasibility error
-    xte = two_rho * (xtg - xtg.T)
-    curve = _NewCurve(x, w, xte, gtau)
-    return CurveEvaluation(curve.eval(tau), tau, curve)
+    return _NewCurve(x, x @ xte - e, xte, gtau)
 
 
 class _PolarCurve:
@@ -208,12 +161,11 @@ class _PolarCurve:
         return (self.x - tau * self.d) @ inv_sqrt
 
 
-def retract_polar(x, d, tau):
+def retract_polar(x, d):
     """Polar scheme: Y = (X - tau D)(I + tau^2 D^T D)^{-1/2} for tangent D."""
     x = _as_matrix(x, "X")
     d = _as_matrix(d, "D")
-    curve = _PolarCurve(x, d)
-    return CurveEvaluation(curve.eval(tau), tau, curve)
+    return _PolarCurve(x, d)
 
 
 def qr_positive(a, require_full_rank=True):
@@ -236,12 +188,11 @@ class _QrCurve:
         return q
 
 
-def retract_qr(x, d, tau):
+def retract_qr(x, d):
     """QR scheme: Y = Q factor of X - tau D with positive-diagonal R."""
     x = _as_matrix(x, "X")
     d = _as_matrix(d, "D")
-    curve = _QrCurve(x, d)
-    return CurveEvaluation(curve.eval(tau), tau, curve)
+    return _QrCurve(x, d)
 
 
 def polar_project(a):
@@ -261,12 +212,11 @@ class _GpCurve:
         return polar_project(self.x - tau * self.g)
 
 
-def retract_gradproj(x, g, tau):
+def retract_gradproj(x, g):
     """Gradient projection scheme: Y = P_St(X - tau G)."""
     x = _as_matrix(x, "X")
     g = _as_matrix(g, "G")
-    curve = _GpCurve(x, g)
-    return CurveEvaluation(curve.eval(tau), tau, curve)
+    return _GpCurve(x, g)
 
 
 class _WenYinCurve:
@@ -286,13 +236,12 @@ class _WenYinCurve:
         return self.x - tau * (self.u @ scipy.linalg.solve(k, self.vtx, check_finite=False))
 
 
-def retract_wenyin(x, d, tau):
+def retract_wenyin(x, d):
     """Wen-Yin scheme; equals the new scheme with g = tau/2 whenever its
     2p x 2p system is well conditioned."""
     x = _as_matrix(x, "X")
     d = _as_matrix(d, "D")
-    curve = _WenYinCurve(x, d)
-    return CurveEvaluation(curve.eval(tau), tau, curve)
+    return _WenYinCurve(x, d)
 
 
 class _GeodesicCurve:
@@ -311,12 +260,11 @@ class _GeodesicCurve:
         return self.frame @ e[:, : self.p]
 
 
-def retract_geodesic(x, d, tau):
+def retract_geodesic(x, d):
     """Geodesic scheme through the exponential of a 2p x 2p skew matrix."""
     x = _as_matrix(x, "X")
     d = _as_matrix(d, "D")
-    curve = _GeodesicCurve(x, d)
-    return CurveEvaluation(curve.eval(tau), tau, curve)
+    return _GeodesicCurve(x, d)
 
 
 class _LowRankCurve:
@@ -368,14 +316,13 @@ class _LowRankCurve:
         return y - x
 
 
-def retract_lowrank_column(x, g, tau):
+def retract_lowrank_column(x, g):
     """Single-column rank-2 scheme of the framework, J inverted analytically."""
     x = _as_matrix(x, "X")
     g = _as_matrix(g, "G")
     if x.shape != g.shape:
         raise ValueError(f"shape mismatch: X {x.shape}, G {g.shape}")
-    curve = _LowRankCurve(x, g)
-    return CurveEvaluation(curve.eval(tau), tau, curve)
+    return _LowRankCurve(x, g)
 
 
 class GeneralizedConstraint:
@@ -442,24 +389,12 @@ class _GeneralizedCurve:
         return t @ self.k - self.x
 
 
-def retract_generalized(x, g, gc, tau, gtau="linear"):
+def retract_generalized(x, g, gc, gtau="linear"):
     """Generalized-constraint scheme; preserves X^T H X = K along the curve."""
     x = _as_matrix(x, "X")
     g = _as_matrix(g, "G")
     feas = gc.feasibility(x)
     if feas > 1e-10 * max(1.0, float(np.linalg.norm(gc.k))):
         raise ValueError(f"X violates X^T H X = K: error {feas:.3e}")
-    curve = _GeneralizedCurve(x, g, gc, gtau)
-    return CurveEvaluation(curve.eval(tau), tau, curve)
+    return _GeneralizedCurve(x, g, gc, gtau)
 
-
-def reevaluate(curve_eval, tau_new):
-    """Re-evaluate a curve at a new tau reusing its cached factor.
-
-    Matches a fresh evaluation at tau_new exactly; only the small
-    tau-dependent blocks are reassembled.
-    """
-    cached = curve_eval.cached_factor
-    if cached is None:
-        raise ValueError("CurveEvaluation has no cached factor to reuse")
-    return CurveEvaluation(cached.eval(tau_new), tau_new, cached)

@@ -37,8 +37,8 @@ from .stepsize import (
     LineSearchError,
     ReferenceState,
     SafeguardParams,
-    _backtrack,
     abb,
+    armijo_backtrack,
     safeguard,
     update_reference,
 )
@@ -104,10 +104,16 @@ class SolverConfig:
 
 @dataclass
 class SolverReport:
-    """Outcome of one solve: the final point plus run statistics."""
+    """Outcome of one solve: the final point plus run statistics.
+
+    f_history holds F at the accepted iterates; f_final is F at x_final,
+    which differs from f_history[-1] when the last iterate was
+    reorthogonalized before being returned.
+    """
 
     x_final: np.ndarray
     f_history: List[float]
+    f_final: float
     residual_final: float
     feasi: float
     nfge: int
@@ -119,10 +125,6 @@ class SolverReport:
     @property
     def f_initial(self) -> float:
         return self.f_history[0]
-
-    @property
-    def f_final(self) -> float:
-        return self.f_history[-1]
 
 
 def _problem_grad(problem, x):
@@ -465,7 +467,7 @@ def iterate_once(state: SolverState) -> SolverState:
         return state
     sg = cfg.safeguard
     try:
-        tau_k, y, f_new, i_k = _backtrack(
+        tau_k, y, f_new, i_k = armijo_backtrack(
             state.problem.value,
             curve,
             slope,
@@ -539,17 +541,20 @@ def _run(state: SolverState) -> SolverReport:
         iterate_once(state)
     wall = time.perf_counter() - t0
     eng = state.engine
-    x_final = state.x
+    x_final, f_final, nfge = state.x, state.f, state.nfge
     feas = eng.feasibility(x_final)
     if feas >= state.cfg.reorth_threshold:
         x_final = eng.reorthogonalize(x_final)
         feas = eng.feasibility(x_final)
+        f_final = float(state.problem.value(x_final))
+        nfge += 1
     return SolverReport(
         x_final=x_final,
         f_history=list(state.f_history),
+        f_final=f_final,
         residual_final=state.d_norm,
         feasi=feas,
-        nfge=state.nfge,
+        nfge=nfge,
         iters=state.k,
         stop_reason=state.stop_reason,
         wall_time=wall,

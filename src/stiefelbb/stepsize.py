@@ -1,8 +1,13 @@
 """BB stepsizes, the alternating rule, the safeguard clamp, and the adaptive
-nonmonotone Armijo backtracking with reference value F_r."""
+nonmonotone Armijo backtracking with reference value F_r.
+
+The backtracking takes a curve object (anything with eval(tau), as returned
+by a retract_<kind> builder or an engine's curve_and_slope) and its initial
+slope, so it serves every scheme without knowing which one it follows.
+"""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -146,11 +151,14 @@ def update_reference(ref: ReferenceState, f_next: float) -> ReferenceState:
     return ref
 
 
-def _backtrack(value_fn, curve, slope, tau1, f_ref, sigma, delta, max_backtracks):
+def armijo_backtrack(value_fn, curve, slope, tau1, f_ref, sigma, delta, max_backtracks):
     """Shrink tau by sigma until F(Y(tau)) <= f_ref + delta tau slope.
 
-    Returns (tau, y, f_new, i). Non-finite trial values are treated as
-    rejections so the shrinking continues past overflow territory.
+    value_fn maps a point to F, curve.eval(tau) gives Y(tau), slope is the
+    curve's initial slope (negative) and f_ref the reference value F_r.
+    Returns (tau, y, f_new, i) with i the number of rejected trials.
+    Non-finite trial values are treated as rejections so the shrinking
+    continues past overflow territory.
     """
     if not slope < 0.0:
         raise ValueError(f"line search needs a descent direction, slope = {slope:.3e}")
@@ -169,53 +177,3 @@ def _backtrack(value_fn, curve, slope, tau1, f_ref, sigma, delta, max_backtracks
     raise LineSearchError(
         f"no acceptable step within {max_backtracks} backtracks (last tau {tau:.3e})"
     )
-
-
-def armijo_backtrack(problem, x, e, tau1, ref: ReferenceState, scheme, params: SafeguardParams,
-                     max_backtracks: int = 60):
-    """Adaptive nonmonotone line search along a scheme's curve from x.
-
-    Parameters mirror the solver's step: e is the descent direction (D_rho
-    for direction-based kinds; ignored for kinds that rebuild their own), ref
-    supplies the reference value F_r, and the accepted state is returned as
-    (tau_k, y_k, f_next, i_k).
-    """
-    from . import retractions as rt
-    from .manifold import tangent_projection
-
-    x = np.asarray(x, dtype=float)
-    _, g = problem.fg(x)
-    kind = scheme.kind
-    if kind == "new":
-        e = np.asarray(e, dtype=float)
-        xte = x.T @ e
-        if scheme.feasibility_control:
-            from scipy.linalg import cho_factor, cho_solve
-
-            w = x @ cho_solve(cho_factor(x.T @ x), xte) - e
-            # drift-proof variant: J keeps only the skew part of X^T E
-            # (exact for a tangent e at a feasible x)
-            xte = 0.5 * (xte - xte.T)
-        else:
-            w = x @ xte - e
-        curve = rt._NewCurve(x, w, xte, scheme.gtau)
-        slope = -float(np.vdot(g, e))
-    elif kind in ("polar", "qr", "wenyin", "geodesic"):
-        cls = {"polar": rt._PolarCurve, "qr": rt._QrCurve,
-               "wenyin": rt._WenYinCurve, "geodesic": rt._GeodesicCurve}[kind]
-        curve = cls(x, np.asarray(e))
-        slope = -float(np.vdot(g, e))
-    elif kind == "gp":
-        curve = rt._GpCurve(x, g)
-        eff = tangent_projection(x, g)
-        slope = -float(np.vdot(g, eff))
-    elif kind == "lowrank":
-        curve = rt._LowRankCurve(x, g)
-        slope = -curve.slope_inner
-    else:
-        raise ValueError(f"scheme kind {kind!r} not supported by this search")
-    tau, y, f_new, i = _backtrack(
-        problem.value, curve, slope, tau1, ref.f_r,
-        params.sigma, params.delta_armijo, max_backtracks,
-    )
-    return tau, y, f_new, i

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from stiefelbb import (
-    StiefelPoint,
-    TangentDirection,
     canonical_gradient,
     compute_d_rho,
     feasibility_error,
@@ -204,47 +202,6 @@ class TestDirectionInvariants:
             for rho in (0.25, 0.5, 1.0, 2.0):
                 d_norm = np.linalg.norm(compute_d_rho(x, g, rho))
                 assert d_norm <= max(2.0 * rho, 1.0) * grad_norm + 1e-12
-
-
-class TestCheckedTypes:
-    def test_point_accepts_orthonormal_columns(self):
-        x = StiefelPoint(random_stiefel(6, 3, seed=18))
-        assert x.shape == (6, 3)
-
-    def test_point_rejects_drifted_matrix(self):
-        bad = random_stiefel(6, 3, seed=19)
-        bad = bad.copy()
-        bad[0, 0] += 1e-6
-        with pytest.raises(ValueError):
-            StiefelPoint(bad)
-
-    def test_point_rejects_wide_matrix(self):
-        with pytest.raises(ValueError):
-            StiefelPoint(np.eye(3)[:2, :])
-
-    def test_point_rejects_nonfinite(self):
-        x = np.eye(3)
-        x = x.copy()
-        x[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            StiefelPoint(x)
-
-    def test_direction_accepts_tangent(self):
-        rng = np.random.default_rng(20)
-        x = random_stiefel(6, 3, seed=20)
-        d = compute_d_rho(x, rng.standard_normal((6, 3)), 0.5)
-        t = TangentDirection(d, x)
-        assert t.shape == (6, 3)
-
-    def test_direction_rejects_nontangent(self):
-        x = random_stiefel(6, 3, seed=21)
-        with pytest.raises(ValueError):
-            TangentDirection(x, x)  # X^T X = I is far from skew
-
-    def test_point_array_is_readonly(self):
-        x = StiefelPoint(random_stiefel(5, 2, seed=22))
-        with pytest.raises(ValueError):
-            x.mat[0, 0] = 2.0
 
 
 class TestRandomStiefel:

@@ -13,16 +13,12 @@ from stiefelbb import (
     ex3_weights,
     gen_ex2,
     gen_ex3,
-    heterogeneous_eval,
     heterogeneous_problem,
     load_matrix,
-    lowrank_corr_eval,
     modified_pca_init,
-    nlcmres,
     random_stiefel,
     sample_fixed_entries,
     save_matrix_market,
-    trace_eigen_eval,
 )
 
 
@@ -52,7 +48,6 @@ class TestTraceEigen:
         prob = TraceEigenProblem(np.eye(5), 2)
         assert prob.shape == (5, 2)
         assert prob.manifold == "stiefel"
-        assert prob.symmetric_xg is True
         assert prob.known_optimum is None
 
     def test_matrix_free_route_matches_dense(self):
@@ -83,16 +78,6 @@ class TestTraceEigen:
             TraceEigenProblem(np.eye(4), 5)
         with pytest.raises(ValueError):
             TraceEigenProblem(np.eye(4), 0)
-
-    def test_eval_helper_matches_problem(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((6, 6))
-        a = a + a.T
-        x = random_stiefel(6, 2, seed=4)
-        pair = trace_eigen_eval(a, x)
-        f, g = TraceEigenProblem(a, 2).fg(x)
-        assert pair.value == f
-        assert np.array_equal(pair.euclid_grad, g)
 
     def test_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -155,6 +140,7 @@ class TestHeterogeneousQuadratic:
 
     def test_generator_modes(self):
         prob = heterogeneous_problem(10, 3)
+        assert prob.name == "balogh"
         assert np.array_equal(prob.l, -np.ones(3))
         ra = heterogeneous_problem(10, 3, l_mode="random", seed=11)
         rb = heterogeneous_problem(10, 3, l_mode="random", seed=11)
@@ -170,16 +156,6 @@ class TestHeterogeneousQuadratic:
             HeterogeneousQuadraticProblem(5, 2, [-1.0, 0.0])  # nonnegative
         with pytest.raises(ValueError):
             HeterogeneousQuadraticProblem(2, 3, [-1.0, -1.0, -1.0])
-
-    def test_eval_helper_and_metadata(self):
-        prob = heterogeneous_problem(6, 2)
-        x = random_stiefel(6, 2, seed=12)
-        pair = heterogeneous_eval(prob, x)
-        f, g = prob.fg(x)
-        assert pair.value == f
-        assert np.array_equal(pair.euclid_grad, g)
-        assert prob.symmetric_xg is False
-        assert prob.name == "balogh"
 
     def test_finite_differences(self):
         prob = heterogeneous_problem(7, 3, l_mode="random", seed=13)
@@ -209,7 +185,7 @@ class TestLowRankCorr:
         rng = np.random.default_rng(17)
         v = rng.standard_normal((4, 30))
         v /= np.linalg.norm(v, axis=0)
-        assert nlcmres(prob, v) == pytest.approx(
+        assert prob.nlcmres(v) == pytest.approx(
             np.sqrt(2.0 * prob.value(v)), rel=1e-12
         )
         m = prob.residual_matrix(v)
@@ -237,14 +213,6 @@ class TestLowRankCorr:
         prob = LowRankCorrProblem(np.eye(3), 2)
         with pytest.raises(ValueError):
             prob.value(np.zeros((3, 3)))
-
-    def test_eval_helper(self):
-        prob = gen_ex3(10, weighted=False, r=2)
-        v = modified_pca_init(prob.c, 2)
-        pair = lowrank_corr_eval(prob, v)
-        f, g = prob.fg(v)
-        assert pair.value == f
-        assert np.array_equal(pair.euclid_grad, g)
 
     def test_finite_differences_both_weightings(self):
         for weighted, seed in ((False, 18), (True, 19)):
@@ -320,7 +288,7 @@ class TestModifiedPcaInit:
         # target has weighted-free residual 1.3500e+02
         prob = gen_ex3(500, weighted=False, r=5)
         v0 = modified_pca_init(prob.c, 5)
-        assert nlcmres(prob, v0) == pytest.approx(135.0002071215799, rel=1e-10)
+        assert prob.nlcmres(v0) == pytest.approx(135.0002071215799, rel=1e-10)
 
     def test_validation(self):
         with pytest.raises(ValueError):

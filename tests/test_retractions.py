@@ -4,23 +4,23 @@ import numpy as np
 import pytest
 
 from stiefelbb import (
-    CurveEvaluation,
     GeneralizedConstraint,
     RetractionScheme,
+    SolverConfig,
+    TraceEigenProblem,
     canonical_gradient,
     compute_d_rho,
     feasibility_error,
     gtau_function,
     polar_project,
+    prepare_state,
     qr_positive,
     random_stiefel,
-    reevaluate,
     retract_generalized,
     retract_geodesic,
     retract_gradproj,
     retract_lowrank_column,
     retract_new,
-    retract_new_controlled,
     retract_polar,
     retract_qr,
     retract_wenyin,
@@ -33,24 +33,39 @@ def tangent_dir(x, seed, rho=0.25):
     return compute_d_rho(x, rng.standard_normal(x.shape), rho)
 
 
-def evaluate_scheme(kind, x, g, tau):
-    """Dispatch one scheme evaluation from a raw gradient g."""
+def scheme_curve(kind, x, g):
+    """Build one scheme's curve from a raw gradient g."""
     d = compute_d_rho(x, g, 0.25)
     if kind == "new":
-        return retract_new(x, d, tau)
+        return retract_new(x, d)
     if kind == "polar":
-        return retract_polar(x, d, tau)
+        return retract_polar(x, d)
     if kind == "qr":
-        return retract_qr(x, d, tau)
+        return retract_qr(x, d)
     if kind == "gp":
-        return retract_gradproj(x, g, tau)
+        return retract_gradproj(x, g)
     if kind == "wenyin":
-        return retract_wenyin(x, d, tau)
+        return retract_wenyin(x, d)
     if kind == "geodesic":
-        return retract_geodesic(x, d, tau)
+        return retract_geodesic(x, d)
     if kind == "lowrank":
-        return retract_lowrank_column(x, g, tau)
+        return retract_lowrank_column(x, g)
     raise ValueError(kind)
+
+
+def solver_engine(shape, controlled=True):
+    """The engine the solver runs for the "new" scheme, as prepare_state builds it."""
+    n, p = shape
+    cfg = SolverConfig(scheme=RetractionScheme(feasibility_control=controlled))
+    start = random_stiefel(n, p, seed=0)
+    return prepare_state(TraceEigenProblem(np.eye(n), p), start, cfg).engine
+
+
+def solver_curve(engine, x, g):
+    """The curve the solver follows from x with gradient g."""
+    d, ctx = engine.direction(x, g)
+    curve, _ = engine.curve_and_slope(x, g, d, ctx)
+    return curve
 
 
 STANDARD_KINDS = ("new", "polar", "qr", "gp", "wenyin", "geodesic", "lowrank")
@@ -87,12 +102,12 @@ class TestNewScheme:
     def test_tau_zero_returns_x_exactly(self):
         x = random_stiefel(6, 3, seed=0)
         d = tangent_dir(x, 1)
-        np.testing.assert_array_equal(retract_new(x, d, 0.0).y, x)
+        np.testing.assert_array_equal(retract_new(x, d).eval(0.0), x)
 
     def test_unit_circle_point(self):
         x = np.array([[1.0], [0.0]])
         g = np.array([[0.0], [1.0]])
-        y = retract_new(x, g, 2.0).y
+        y = retract_new(x, g).eval(2.0)
         np.testing.assert_allclose(y, [[0.0], [-1.0]], atol=1e-15)
 
     def test_vector_closed_form(self):
@@ -105,37 +120,48 @@ class TestNewScheme:
         for tau in (0.1, 0.7, 2.0, 9.0):
             den = 1.0 + 0.25 * tau * tau * float(np.vdot(g, g))
             expected = (2.0 / den - 1.0) * x - (tau / den) * g
-            np.testing.assert_allclose(retract_new(x, g, tau).y, expected, atol=1e-14)
+            np.testing.assert_allclose(retract_new(x, g).eval(tau), expected, atol=1e-14)
 
     def test_feasibility_and_fd_slope(self):
         x = random_stiefel(6, 2, seed=3)
         d = tangent_dir(x, 4)
-        y = retract_new(x, d, 0.3).y
+        y = retract_new(x, d).eval(0.3)
         assert feasibility_error(y) <= 1e-13
         for h in (1e-4, 1e-5):
-            yh = retract_new(x, d, h).y
+            yh = retract_new(x, d).eval(h)
             assert np.linalg.norm((yh - x) / h + d) < 10.0 * h * np.linalg.norm(d) ** 2
 
     def test_nontangent_direction_rejected(self):
         x = random_stiefel(6, 2, seed=5)
         with pytest.raises(ValueError):
-            retract_new(x, x, 0.5)  # X^T X = I is not skew
+            retract_new(x, x)  # X^T X = I is not skew
+
+    def test_malformed_input_rejected(self):
+        x = random_stiefel(6, 2, seed=5)
+        d = tangent_dir(x, 6)
+        bad = x.copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            retract_new(bad, d)
+        with pytest.raises(ValueError, match="2-dimensional"):
+            retract_polar(x, d.ravel())
 
     def test_overflow_tau_reported_as_singular(self):
         x = random_stiefel(6, 2, seed=6)
         d = tangent_dir(x, 7)
         with pytest.raises(np.linalg.LinAlgError):
-            retract_new(x, d, 1e200)
+            retract_new(x, d).eval(1e200)
 
     def test_trace_jinv_matches_dense_inverse(self):
         x = random_stiefel(7, 3, seed=8)
         d = tangent_dir(x, 9)
         tau = 0.6 / np.linalg.norm(d)
-        ev = retract_new(x, d, tau)
+        curve = retract_new(x, d)
+        curve.eval(tau)
         xtd = x.T @ d
         w = x @ xtd - d
         j = np.eye(3) + 0.25 * tau * tau * (w.T @ w) + 0.5 * tau * xtd
-        assert ev.cached_factor.trace_jinv() == pytest.approx(
+        assert curve.trace_jinv() == pytest.approx(
             np.trace(np.linalg.inv(j)), rel=1e-12
         )
 
@@ -143,8 +169,8 @@ class TestNewScheme:
         x = random_stiefel(8, 3, seed=10)
         d = tangent_dir(x, 11)
         tau = 1.2 / np.linalg.norm(d)
-        y1 = retract_new(x, d, tau, gtau="linear").y
-        y2 = retract_new(x, d, tau, gtau="expdamped").y
+        y1 = retract_new(x, d, gtau="linear").eval(tau)
+        y2 = retract_new(x, d, gtau="expdamped").eval(tau)
         assert feasibility_error(y2) <= 1e-13
         assert np.linalg.norm(y1 - y2) > 1e-8  # the g term genuinely differs
 
@@ -160,7 +186,7 @@ class TestNewScheme:
             g = -2.0 * (a @ x)
             d = compute_d_rho(x, g, 0.25)
             tau = 0.4 / max(np.linalg.norm(d), 1e-12)
-            y1 = retract_new(x, d, tau).y
+            y1 = retract_new(x, d).eval(tau)
             m = (
                 np.eye(p)
                 + tau * (x.T @ g)
@@ -176,7 +202,7 @@ class TestNewScheme:
             x = random_stiefel(8, 3, seed=40 + trial)
             d = tangent_dir(x, 50 + trial)
             tau = 1.0 / np.linalg.norm(d)
-            y = retract_new(x, d, tau).y
+            y = retract_new(x, d).eval(tau)
             o = polar_project(y.T @ x).T
             assert np.linalg.norm(y - x @ o) > 1e-8
 
@@ -210,8 +236,8 @@ class TestControlledVariant:
         g = rng.standard_normal((10, 4))
         d = compute_d_rho(x, g, 0.25)
         tau = 0.8 / np.linalg.norm(d)
-        ya = retract_new_controlled(x, g, 0.25, tau).y
-        yb = retract_new(x, d, tau).y
+        ya = solver_curve(solver_engine((10, 4)), x, g).eval(tau)
+        yb = retract_new(x, d).eval(tau)
         assert np.linalg.norm(ya - yb) <= 1e-14 * max(1.0, np.linalg.norm(yb))
 
     def test_does_not_amplify_injected_error(self):
@@ -223,16 +249,17 @@ class TestControlledVariant:
         xp = x @ (np.eye(4) + 0.5 * s)  # feasibility error ~ 1e-8
         fin = feasibility_error(xp)
         assert 1e-9 < fin < 1e-7
+        engine = solver_engine((12, 4))
         for tau in (1e-8, 1e-3, 0.1, 1.0, 10.0, 1e4):
             g = rng.standard_normal((12, 4))
-            y = retract_new_controlled(xp, g, 0.25, tau).y
+            y = solver_curve(engine, xp, g).eval(tau)
             assert feasibility_error(y) <= fin * (1.0 + 1e-6)
 
     def test_rank_deficient_point_rejected(self):
         x = np.zeros((5, 2))
         x[:, 0] = x[:, 1] = np.array([1.0, 0, 0, 0, 0])
         with pytest.raises(np.linalg.LinAlgError):
-            retract_new_controlled(x, np.ones((5, 2)), 0.25, 0.1)
+            solver_curve(solver_engine((5, 2)), x, np.ones((5, 2)))
 
     def test_descent_walk_drift_contrast(self):
         # gradient walk on a quadratic trace objective: the drift-safe variant
@@ -244,18 +271,14 @@ class TestControlledVariant:
                 - np.diag(np.ones(n - 1), 1)
                 - np.diag(np.ones(n - 1), -1)
             )
+            engine = solver_engine((n, p), controlled)
             x = random_stiefel(n, p, seed=seed)
             worst = feasibility_error(x)
             for _ in range(steps):
                 g = -2.0 * (a @ x)
-                d = compute_d_rho(x, g, 0.25)
-                dn = np.linalg.norm(d)
-                tau = 1.0 / dn
+                tau = 1.0 / np.linalg.norm(compute_d_rho(x, g, 0.25))
                 try:
-                    if controlled:
-                        x = retract_new_controlled(x, g, 0.25, tau).y
-                    else:
-                        x = retract_new(x, d, tau).y
+                    x = solver_curve(engine, x, g).eval(tau)
                 except (ValueError, np.linalg.LinAlgError):
                     break  # guard tripped: the iterate has left the manifold
                 worst = max(worst, feasibility_error(x))
@@ -270,20 +293,21 @@ class TestControlledVariant:
 class TestPolarScheme:
     def test_tau_zero(self):
         x = random_stiefel(6, 3, seed=16)
-        np.testing.assert_allclose(retract_polar(x, tangent_dir(x, 17), 0.0).y, x, atol=1e-14)
+        y = retract_polar(x, tangent_dir(x, 17)).eval(0.0)
+        np.testing.assert_allclose(y, x, atol=1e-14)
 
     def test_unit_vector_normalization(self):
         x = random_stiefel(7, 1, seed=18)
         d = tangent_dir(x, 19)
         tau = 0.9
         expected = (x - tau * d) / np.linalg.norm(x - tau * d)
-        np.testing.assert_allclose(retract_polar(x, d, tau).y, expected, atol=1e-14)
+        np.testing.assert_allclose(retract_polar(x, d).eval(tau), expected, atol=1e-14)
 
     def test_matches_svd_projection(self):
         x = random_stiefel(9, 4, seed=20)
         d = tangent_dir(x, 21)
         tau = 0.5 / np.linalg.norm(d)
-        ya = retract_polar(x, d, tau).y
+        ya = retract_polar(x, d).eval(tau)
         yb = polar_project(x - tau * d)
         np.testing.assert_allclose(ya, yb, atol=1e-12)
 
@@ -291,13 +315,13 @@ class TestPolarScheme:
 class TestQrScheme:
     def test_tau_zero(self):
         x = random_stiefel(6, 3, seed=22)
-        np.testing.assert_allclose(retract_qr(x, tangent_dir(x, 23), 0.0).y, x, atol=1e-13)
+        np.testing.assert_allclose(retract_qr(x, tangent_dir(x, 23)).eval(0.0), x, atol=1e-13)
 
     def test_p1_matches_polar(self):
         x = random_stiefel(7, 1, seed=24)
         d = tangent_dir(x, 25)
         np.testing.assert_allclose(
-            retract_qr(x, d, 0.7).y, retract_polar(x, d, 0.7).y, atol=1e-13
+            retract_qr(x, d).eval(0.7), retract_polar(x, d).eval(0.7), atol=1e-13
         )
 
     def test_positive_diagonal_convention(self):
@@ -319,18 +343,18 @@ class TestGradProjScheme:
         x = random_stiefel(6, 3, seed=27)
         rng = np.random.default_rng(27)
         np.testing.assert_allclose(
-            retract_gradproj(x, rng.standard_normal((6, 3)), 0.0).y, x, atol=1e-13
+            retract_gradproj(x, rng.standard_normal((6, 3))).eval(0.0), x, atol=1e-13
         )
 
     def test_shrinking_along_itself_projects_back(self):
         x = random_stiefel(6, 3, seed=28)
         for tau in (0.1, 0.5, 0.9):
-            np.testing.assert_allclose(retract_gradproj(x, x, tau).y, x, atol=1e-13)
+            np.testing.assert_allclose(retract_gradproj(x, x).eval(tau), x, atol=1e-13)
 
     def test_rank_deficiency_rejected(self):
         x = random_stiefel(6, 2, seed=29)
         with pytest.raises(np.linalg.LinAlgError):
-            retract_gradproj(x, x, 1.0)  # X - X = 0 has no unique projection
+            retract_gradproj(x, x).eval(1.0)  # X - X = 0 has no unique projection
 
     def test_initial_velocity_is_tangent_projection(self):
         rng = np.random.default_rng(30)
@@ -338,14 +362,15 @@ class TestGradProjScheme:
         g = rng.standard_normal((8, 3))
         t = tangent_projection(x, g)
         for h in (1e-4, 1e-5):
-            yh = retract_gradproj(x, g, h).y
+            yh = retract_gradproj(x, g).eval(h)
             assert np.linalg.norm((yh - x) / h + t) < 20.0 * h * (1 + np.linalg.norm(g)) ** 2
 
 
 class TestWenYinScheme:
     def test_tau_zero(self):
         x = random_stiefel(6, 3, seed=31)
-        np.testing.assert_allclose(retract_wenyin(x, tangent_dir(x, 32), 0.0).y, x, atol=1e-14)
+        y = retract_wenyin(x, tangent_dir(x, 32)).eval(0.0)
+        np.testing.assert_allclose(y, x, atol=1e-14)
 
     def test_equals_new_scheme(self):
         rng = np.random.default_rng(33)
@@ -358,8 +383,8 @@ class TestWenYinScheme:
             if dn < 1e-12:
                 continue
             tau = float(rng.uniform(0.05, 2.0)) / dn
-            ya = retract_wenyin(x, d, tau).y
-            yb = retract_new(x, d, tau, "linear").y
+            ya = retract_wenyin(x, d).eval(tau)
+            yb = retract_new(x, d, "linear").eval(tau)
             assert np.linalg.norm(ya - yb) <= 1e-12
 
     def test_p1_closed_form(self):
@@ -368,22 +393,23 @@ class TestWenYinScheme:
         tau = 1.3
         den = 1.0 + 0.25 * tau * tau * float(np.vdot(d, d))
         expected = (2.0 / den - 1.0) * x - (tau / den) * d
-        np.testing.assert_allclose(retract_wenyin(x, d, tau).y, expected, atol=1e-13)
+        np.testing.assert_allclose(retract_wenyin(x, d).eval(tau), expected, atol=1e-13)
 
 
 class TestGeodesicScheme:
     def test_tau_zero(self):
         x = random_stiefel(6, 3, seed=36)
-        np.testing.assert_allclose(retract_geodesic(x, tangent_dir(x, 37), 0.0).y, x, atol=1e-14)
+        y = retract_geodesic(x, tangent_dir(x, 37)).eval(0.0)
+        np.testing.assert_allclose(y, x, atol=1e-14)
 
     def test_great_circle(self):
         x = np.array([[1.0], [0.0]])
         d = np.array([[0.0], [1.0]])
-        y = retract_geodesic(x, d, np.pi / 2).y
+        y = retract_geodesic(x, d).eval(np.pi / 2)
         np.testing.assert_allclose(y, [[0.0], [-1.0]], atol=1e-14)
         for tau in (0.3, 1.0, 2.5):
             np.testing.assert_allclose(
-                retract_geodesic(x, d, tau).y,
+                retract_geodesic(x, d).eval(tau),
                 [[np.cos(tau)], [-np.sin(tau)]],
                 atol=1e-13,
             )
@@ -391,9 +417,9 @@ class TestGeodesicScheme:
     def test_feasibility_and_fd_slope(self):
         x = random_stiefel(9, 3, seed=38)
         d = tangent_dir(x, 39)
-        assert feasibility_error(retract_geodesic(x, d, 0.7).y) <= 1e-13
+        assert feasibility_error(retract_geodesic(x, d).eval(0.7)) <= 1e-13
         for h in (1e-4, 1e-5):
-            yh = retract_geodesic(x, d, h).y
+            yh = retract_geodesic(x, d).eval(h)
             assert np.linalg.norm((yh - x) / h + d) < 10.0 * h * np.linalg.norm(d) ** 2
 
 
@@ -402,7 +428,7 @@ class TestLowRankScheme:
         rng = np.random.default_rng(40)
         x = random_stiefel(6, 3, seed=40)
         np.testing.assert_allclose(
-            retract_lowrank_column(x, rng.standard_normal((6, 3)), 0.0).y, x, atol=1e-13
+            retract_lowrank_column(x, rng.standard_normal((6, 3))).eval(0.0), x, atol=1e-13
         )
 
     def test_matches_dense_solve_on_materialized_direction(self):
@@ -410,14 +436,14 @@ class TestLowRankScheme:
         for trial in range(20):
             x = random_stiefel(7, 3, seed=700 + trial)
             g = rng.standard_normal((7, 3))
-            ev = retract_lowrank_column(x, g, 0.0)
-            d = ev.cached_factor.direction()
+            curve = retract_lowrank_column(x, g)
+            d = curve.direction()
             dn = np.linalg.norm(d)
             if dn < 1e-12:
                 continue
             tau = float(rng.uniform(0.05, 2.0)) / dn
-            ya = reevaluate(ev, tau).y
-            yb = retract_new(x, d, tau, "linear").y
+            ya = curve.eval(tau)
+            yb = retract_new(x, d, "linear").eval(tau)
             assert np.linalg.norm(ya - yb) <= 1e-12
 
     def test_descent_rate_against_full_gradient(self):
@@ -428,8 +454,7 @@ class TestLowRankScheme:
             p = int(rng.integers(1, min(n, 6) + 1))
             x = random_stiefel(n, p, seed=800 + trial)
             g = rng.standard_normal((n, p))
-            ev = retract_lowrank_column(x, g, 0.0)
-            d = ev.cached_factor.direction()
+            d = retract_lowrank_column(x, g).direction()
             grad = canonical_gradient(x, g)
             inner = float(np.vdot(g, d))
             full = float(np.vdot(g, grad))
@@ -442,15 +467,14 @@ class TestLowRankScheme:
         x[0, 0] = x[1, 1] = 1.0
         g = np.zeros((4, 2))
         g[2, 0] = g[3, 1] = 1.0  # both columns give identical descent
-        ev = retract_lowrank_column(x, g, 0.0)
-        assert ev.cached_factor.q == 0
+        assert retract_lowrank_column(x, g).q == 0
 
     def test_feasibility_along_curve(self):
         rng = np.random.default_rng(43)
         x = random_stiefel(10, 4, seed=43)
         g = rng.standard_normal((10, 4))
         for tau in (0.2, 1.0, 4.0):
-            assert feasibility_error(retract_lowrank_column(x, g, tau).y) <= 1e-13
+            assert feasibility_error(retract_lowrank_column(x, g).eval(tau)) <= 1e-13
 
 
 class TestGeneralizedScheme:
@@ -467,7 +491,7 @@ class TestGeneralizedScheme:
     def test_tau_zero(self):
         gc, x0, rng = self.make_instance(7, 3, 44)
         np.testing.assert_allclose(
-            retract_generalized(x0, rng.standard_normal((7, 3)), gc, 0.0).y, x0, atol=1e-12
+            retract_generalized(x0, rng.standard_normal((7, 3)), gc).eval(0.0), x0, atol=1e-12
         )
 
     def test_identity_data_reduces_to_new_scheme(self):
@@ -477,8 +501,8 @@ class TestGeneralizedScheme:
         gc = GeneralizedConstraint(np.eye(8), np.eye(3))
         d = canonical_gradient(x, g)
         tau = 0.3 / np.linalg.norm(d)
-        ya = retract_generalized(x, g, gc, tau).y
-        yb = retract_new(x, d, tau, "linear").y
+        ya = retract_generalized(x, g, gc).eval(tau)
+        yb = retract_new(x, d, "linear").eval(tau)
         assert np.linalg.norm(ya - yb) <= 1e-12
 
     def test_constraint_preserved_along_random_steps(self):
@@ -488,12 +512,12 @@ class TestGeneralizedScheme:
             p = int(rng.integers(1, min(n, 5) + 1))
             gc, x0, _ = self.make_instance(n, p, 900 + trial)
             g = rng.standard_normal((n, p))
-            ev = retract_generalized(x0, g, gc, 0.0)
-            dn = np.linalg.norm(ev.cached_factor.d)
+            curve = retract_generalized(x0, g, gc)
+            dn = np.linalg.norm(curve.d)
             if dn < 1e-10:
                 continue
             tau = float(rng.uniform(0.05, 1.0)) / dn
-            y = reevaluate(ev, tau).y
+            y = curve.eval(tau)
             assert gc.feasibility(y) <= 1e-11 * max(1.0, np.linalg.norm(gc.k))
 
     def test_condition_bound_with_constraint_factor(self):
@@ -503,7 +527,7 @@ class TestGeneralizedScheme:
             p = int(rng.integers(1, min(n, 5) + 1))
             gc, x0, _ = self.make_instance(n, p, 950 + trial)
             g = rng.standard_normal((n, p))
-            cur = retract_generalized(x0, g, gc, 0.0).cached_factor
+            cur = retract_generalized(x0, g, gc)
             hd = np.sqrt(max(np.trace(cur.d.T @ gc.h @ cur.d), 0.0))
             if hd < 1e-10:
                 continue
@@ -517,7 +541,7 @@ class TestGeneralizedScheme:
     def test_infeasible_point_rejected(self):
         gc, x0, rng = self.make_instance(6, 2, 48)
         with pytest.raises(ValueError):
-            retract_generalized(x0 * 1.5, rng.standard_normal((6, 2)), gc, 0.1)
+            retract_generalized(x0 * 1.5, rng.standard_normal((6, 2)), gc)
 
     def test_constraint_data_validation(self):
         rng = np.random.default_rng(49)
@@ -530,20 +554,24 @@ class TestGeneralizedScheme:
 
 
 class TestReevaluate:
+    """One curve object serves a whole backtracking sequence: evaluating it
+    at a new tau matches a freshly built curve, whatever was evaluated before."""
+
     def test_same_tau_identical(self):
         x = random_stiefel(8, 3, seed=50)
-        d = tangent_dir(x, 51)
-        ev = retract_new(x, d, 0.4)
-        np.testing.assert_allclose(reevaluate(ev, 0.4).y, ev.y, atol=1e-14)
+        curve = retract_new(x, tangent_dir(x, 51))
+        y = curve.eval(0.4)
+        np.testing.assert_allclose(curve.eval(0.4), y, atol=1e-14)
 
     def test_backtracking_sequence_matches_fresh(self):
         x = random_stiefel(8, 3, seed=52)
         d = tangent_dir(x, 53)
         tau = 0.9
-        ev = retract_new(x, d, tau)
+        curve = retract_new(x, d)
+        curve.eval(tau)
         for t in (tau / 2, tau / 4, tau / 8):
             np.testing.assert_allclose(
-                reevaluate(ev, t).y, retract_new(x, d, t).y, atol=1e-13
+                curve.eval(t), retract_new(x, d).eval(t), atol=1e-13
             )
 
     def test_every_scheme_supports_reuse(self):
@@ -551,14 +579,17 @@ class TestReevaluate:
         x = random_stiefel(8, 3, seed=54)
         g = rng.standard_normal((8, 3))
         for kind in STANDARD_KINDS:
-            ev = evaluate_scheme(kind, x, g, 0.6)
-            again = reevaluate(ev, 0.3)
-            fresh = evaluate_scheme(kind, x, g, 0.3)
-            np.testing.assert_allclose(again.y, fresh.y, atol=1e-13, err_msg=kind)
+            curve = scheme_curve(kind, x, g)
+            curve.eval(0.6)
+            again = curve.eval(0.3)
+            fresh = scheme_curve(kind, x, g).eval(0.3)
+            np.testing.assert_allclose(again, fresh, atol=1e-13, err_msg=kind)
 
     def test_missing_cache_rejected(self):
+        # tr(J^{-1}) reads the factor cached by the last evaluation
+        x = random_stiefel(8, 3, seed=55)
         with pytest.raises(ValueError):
-            reevaluate(CurveEvaluation(np.eye(3), 0.1, None), 0.05)
+            retract_new(x, tangent_dir(x, 56)).trace_jinv()
 
 
 class TestCrossSchemeProperties:
@@ -576,7 +607,7 @@ class TestCrossSchemeProperties:
                 continue
             tau = float(rng.uniform(0.0, 10.0)) / dn
             for kind in STANDARD_KINDS:
-                y = evaluate_scheme(kind, x, g, tau).y
+                y = scheme_curve(kind, x, g).eval(tau)
                 assert feasibility_error(y) <= 1e-12, (kind, trial)
 
     def test_first_order_agreement_all_schemes(self):
@@ -592,13 +623,13 @@ class TestCrossSchemeProperties:
             "gp": tangent_projection(x, g),
             "wenyin": d,
             "geodesic": d,
-            "lowrank": retract_lowrank_column(x, g, 0.0).cached_factor.direction(),
+            "lowrank": retract_lowrank_column(x, g).direction(),
         }
         hs = (1e-3, 1e-4, 1e-5)
         for kind in STANDARD_KINDS:
             e = velocities[kind]
             errs = [
-                np.linalg.norm((evaluate_scheme(kind, x, g, h).y - x) / h + e)
+                np.linalg.norm((scheme_curve(kind, x, g).eval(h) - x) / h + e)
                 for h in hs
             ]
             # each tenfold decrease in h cuts the error by at least ~5x

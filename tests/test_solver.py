@@ -21,6 +21,7 @@ from stiefelbb import (
     solve,
     solve_generalized,
 )
+from stiefelbb.bench import _tridiag
 
 ALL_KINDS = ("new", "polar", "qr", "gp", "wenyin", "geodesic", "lowrank")
 
@@ -192,6 +193,22 @@ class TestReportAccounting:
         assert counted.fg_calls == 1
         assert counted.grad_calls == rep.iters
         assert rep.nfge >= rep.iters + 1
+
+    def test_f_final_is_value_at_returned_point(self):
+        # the literal formulas drift off the manifold, so x_final comes back
+        # reorthogonalized and F there is 8.6e-3 from the last accepted value
+        counted = CountingProblem(TraceEigenProblem(_tridiag(200), 6))
+        cfg = SolverConfig(
+            scheme=RetractionScheme(feasibility_control=False),
+            max_iter=3000,
+            check_convergence=False,
+            seed=0,
+        )
+        rep = solve(counted, None, cfg)
+        assert rep.f_final == counted.inner.value(rep.x_final)
+        assert abs(rep.f_final - rep.f_history[-1]) > 1e-3
+        assert len(rep.f_history) == rep.iters + 1
+        assert rep.nfge == 1 + counted.value_calls
 
     def test_history_and_properties(self):
         prob = random_eigen(15, 2, seed=7)

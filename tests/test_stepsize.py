@@ -11,12 +11,14 @@ from stiefelbb import (
     ReferenceState,
     RetractionScheme,
     SafeguardParams,
+    SolverConfig,
     TraceEigenProblem,
     abb,
     armijo_backtrack,
     bb_long,
     bb_short,
     compute_d_rho,
+    prepare_state,
     random_stiefel,
     retract_new,
     safeguard,
@@ -74,12 +76,10 @@ class TestBBSteps:
             x = random_stiefel(n, p, seed=trial)
             d = compute_d_rho(x, rng.standard_normal((n, p)), 0.25)
             tau = float(rng.uniform(0.1, 1.5)) / np.linalg.norm(d)
-            ev = retract_new(x, d, tau)
-            s = ev.y - x
+            curve = retract_new(x, d)
+            s = curve.eval(tau) - x
             direct = float(np.vdot(s, s))
-            state = BBState(
-                s_prev=s, y_prev=s, k=1, trace_jinv=ev.cached_factor.trace_jinv()
-            )
+            state = BBState(s_prev=s, y_prev=s, k=1, trace_jinv=curve.trace_jinv())
             assert state.s_dot_s() == pytest.approx(direct, rel=1e-10, abs=1e-14)
 
 
@@ -192,48 +192,48 @@ def make_problem(n=10, p=3, seed=0):
     return TraceEigenProblem(a + a.T, p)
 
 
+def first_step(prob, x, scheme=RetractionScheme()):
+    """The loop state at x and the curve and slope of the solver's first step."""
+    state = prepare_state(prob, x, SolverConfig(scheme=scheme))
+    curve, slope = state.engine.curve_and_slope(state.x, state.g, state.d, state.ctx)
+    return state, curve, slope
+
+
+def backtrack(prob, curve, slope, tau1, f_ref, max_backtracks=60):
+    params = SafeguardParams()
+    return armijo_backtrack(
+        prob.value, curve, slope, tau1, f_ref,
+        params.sigma, params.delta_armijo, max_backtracks,
+    )
+
+
 class TestArmijoBacktrack:
     def test_infinite_reference_accepts_first_trial(self):
         prob = make_problem()
-        x = random_stiefel(10, 3, seed=8)
-        g = prob.grad(x)
-        d = compute_d_rho(x, g, 0.25)
-        ref = ReferenceState.fresh(prob.value(x))
-        tau1 = 0.5 / np.linalg.norm(d)
-        tau, y, f_new, i = armijo_backtrack(
-            prob, x, d, tau1, ref, RetractionScheme(), SafeguardParams()
-        )
+        state, curve, slope = first_step(prob, random_stiefel(10, 3, seed=8))
+        tau1 = state.tau1
+        tau, y, f_new, i = backtrack(prob, curve, slope, tau1, state.ref.f_r)
+        assert state.ref.f_r == math.inf
         assert i == 0 and tau == tau1
         assert f_new == pytest.approx(prob.value(y))
 
     def test_adversarial_trial_step_backtracks_and_satisfies_test(self):
         prob = make_problem(seed=1)
-        x = random_stiefel(10, 3, seed=9)
-        f0, g = prob.fg(x)
-        d = compute_d_rho(x, g, 0.25)
-        ref = ReferenceState.fresh(f0)
-        ref.f_r = f0  # finite reference forces genuine decrease
-        params = SafeguardParams()
-        tau, y, f_new, i = armijo_backtrack(
-            prob, x, d, 1e6, ref, RetractionScheme(), params
-        )
+        state, curve, slope = first_step(prob, random_stiefel(10, 3, seed=9))
+        f0 = state.f  # finite reference forces genuine decrease
+        tau, y, f_new, i = backtrack(prob, curve, slope, 1e6, f0)
         assert i > 0
-        slope = -float(np.vdot(g, d))
         # re-check the acceptance inequality with a fresh evaluation
-        assert prob.value(y) <= f0 + params.delta_armijo * tau * slope + 1e-12
+        delta = SafeguardParams().delta_armijo
+        assert prob.value(y) <= f0 + delta * tau * slope + 1e-12
 
     def test_quadratic_scale_step_accepted_without_backtracking(self):
         # on F = -tr(X^T A X) a step of the natural 1/||A|| scale passes
         prob = make_problem(seed=2)
         anorm = np.linalg.norm(prob.a, 2)
-        x = random_stiefel(10, 3, seed=10)
-        f0, g = prob.fg(x)
-        d = compute_d_rho(x, g, 0.25)
-        ref = ReferenceState.fresh(f0)
-        ref.f_r = f0
-        tau, _, f_new, i = armijo_backtrack(
-            prob, x, d, 0.25 / anorm, ref, RetractionScheme(), SafeguardParams()
-        )
+        state, curve, slope = first_step(prob, random_stiefel(10, 3, seed=10))
+        f0 = state.f
+        tau, _, f_new, i = backtrack(prob, curve, slope, 0.25 / anorm, f0)
         assert i == 0
         assert f_new < f0
 
@@ -242,53 +242,34 @@ class TestArmijoBacktrack:
         x = random_stiefel(10, 3, seed=11)
         g = prob.grad(x)
         d = compute_d_rho(x, g, 0.25)
-        ref = ReferenceState.fresh(prob.value(x))
+        # the curve along +D_rho ascends: its initial slope is <G, D_rho> > 0
+        ascent = retract_new(x, -d)
         with pytest.raises(ValueError):
-            armijo_backtrack(
-                prob, x, -d, 0.1, ref, RetractionScheme(), SafeguardParams()
-            )
+            backtrack(prob, ascent, float(np.vdot(g, d)), 0.1, math.inf)
 
     def test_exhausted_budget_raises(self):
         prob = make_problem(seed=4)
-        x = random_stiefel(10, 3, seed=12)
-        f0, g = prob.fg(x)
-        d = compute_d_rho(x, g, 0.25)
-        ref = ReferenceState.fresh(f0)
-        ref.f_r = f0
+        state, curve, slope = first_step(prob, random_stiefel(10, 3, seed=12))
         with pytest.raises(LineSearchError):
-            armijo_backtrack(
-                prob, x, d, 1e6, ref, RetractionScheme(), SafeguardParams(),
-                max_backtracks=2,
-            )
+            backtrack(prob, curve, slope, 1e6, state.f, max_backtracks=2)
 
     def test_every_scheme_kind_descends(self):
         prob = make_problem(seed=5)
         x = random_stiefel(10, 3, seed=13)
-        f0, g = prob.fg(x)
-        d = compute_d_rho(x, g, 0.25)
-        ref = ReferenceState.fresh(f0)
-        ref.f_r = f0
-        tau1 = 0.5 / np.linalg.norm(d)
         for kind in ("new", "polar", "qr", "gp", "wenyin", "geodesic", "lowrank"):
-            tau, y, f_new, i = armijo_backtrack(
-                prob, x, d, tau1, ref,
-                RetractionScheme(kind=kind), SafeguardParams(),
-            )
+            state, curve, slope = first_step(prob, x, RetractionScheme(kind=kind))
+            f0 = state.f
+            tau, y, f_new, i = backtrack(prob, curve, slope, state.tau1, f0)
             assert f_new < f0, kind
             assert f_new == pytest.approx(prob.value(y)), kind
 
     def test_uncontrolled_variant_matches_at_feasible_point(self):
         prob = make_problem(seed=6)
         x = random_stiefel(10, 3, seed=14)
-        f0, g = prob.fg(x)
-        d = compute_d_rho(x, g, 0.25)
-        ref = ReferenceState.fresh(f0)
-        tau1 = 0.5 / np.linalg.norm(d)
         out = {}
         for flag in (True, False):
             scheme = RetractionScheme(kind="new", feasibility_control=flag)
-            out[flag] = armijo_backtrack(
-                prob, x, d, tau1, ref, scheme, SafeguardParams()
-            )
+            state, curve, slope = first_step(prob, x, scheme)
+            out[flag] = backtrack(prob, curve, slope, state.tau1, state.ref.f_r)
         assert out[True][0] == out[False][0]
         np.testing.assert_allclose(out[True][1], out[False][1], atol=1e-12)
