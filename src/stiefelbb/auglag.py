@@ -96,7 +96,9 @@ class AugLagReport:
 
 
 class AugLagSubproblem:
-    """L_mu as a sphere-product problem, sharing one V^T V per evaluation."""
+    """L_mu as a sphere-product problem. Each evaluation forms one V^T V,
+    gathers the pinned entries from it and subtracts C in place; the
+    penalty runs over the index list of the entry set."""
 
     manifold = "spheres"
 
@@ -109,47 +111,38 @@ class AugLagSubproblem:
         self.shape = base.shape
         self.name = f"{base.name}+auglag"
         self.known_optimum = None
-        if len(fes) == 0:
-            self.he = None
-            self.ctil = None
-        else:
-            n = base.n
-            lam = np.asarray(lam, dtype=float)
-            if lam.shape != (n, n):
-                raise ValueError(f"Lambda must be {n}x{n}, got {lam.shape}")
-            self.he = fes.mask(n)
-            self.ctil = fes.target_matrix(n) + lam / self.mu
-        self._hesq = self.he * self.he if self.he is not None else None
+        n = base.n
+        fes._check_n(n)
+        lam = np.asarray(lam, dtype=float)
+        if lam.shape != (n, n):
+            raise ValueError(f"Lambda must be {n}x{n}, got {lam.shape}")
+        # 0-based strict-lower (i, j); targets C-hat + Lambda/mu there and at (j, i)
+        self._i = fes.rows - 1
+        self._j = fes.cols - 1
+        self._t_ij = fes.values + lam[self._i, self._j] / self.mu
+        self._t_ji = fes.values + lam[self._j, self._i] / self.mu
 
-    def _weighted(self, vv):
-        m1 = vv - self.base.c
-        w1 = self.base.hsq * m1 if self.base.hsq is not None else m1
-        m2 = vv - self.ctil
-        w2 = self._hesq * m2
-        return m1, w1, m2, w2
+    def _gram(self, v):
+        """V, V^T V - C in one buffer, the pinned residuals, and the penalty."""
+        v = self.base._check(v)
+        m = v.T @ v
+        r_ij = m[self._i, self._j] - self._t_ij
+        r_ji = m[self._j, self._i] - self._t_ji
+        m -= self.base.c
+        pen = 0.25 * self.mu * (float(np.vdot(r_ij, r_ij)) + float(np.vdot(r_ji, r_ji)))
+        return v, m, r_ij, r_ji, pen
 
     def value(self, v) -> float:
-        if self.he is None:
-            return self.base.value(v)
-        v = np.asarray(v, dtype=float)
-        m1, w1, m2, w2 = self._weighted(v.T @ v)
-        return 0.5 * float(np.vdot(m1, w1)) + 0.25 * self.mu * float(np.vdot(m2, w2))
+        _, m, _, _, pen = self._gram(v)
+        m = self.base._weighted(m)
+        return 0.5 * float(np.vdot(m, m)) + pen
 
     def fg(self, v):
-        if self.he is None:
-            return self.base.fg(v)
-        v = np.asarray(v, dtype=float)
-        m1, w1, m2, w2 = self._weighted(v.T @ v)
-        f = 0.5 * float(np.vdot(m1, w1)) + 0.25 * self.mu * float(np.vdot(m2, w2))
-        g = 2.0 * (v @ (w1 + 0.5 * self.mu * w2))
-        return f, g
-
-    def grad(self, v):
-        if self.he is None:
-            return self.base.grad(v)
-        v = np.asarray(v, dtype=float)
-        _, w1, _, w2 = self._weighted(v.T @ v)
-        return 2.0 * (v @ (w1 + 0.5 * self.mu * w2))
+        v, m, r_ij, r_ji, pen = self._gram(v)
+        f, w = self.base._theta_weights(m)
+        w[self._i, self._j] += (0.5 * self.mu) * r_ij
+        w[self._j, self._i] += (0.5 * self.mu) * r_ji
+        return f + pen, 2.0 * (v @ w)
 
 
 def _sub_config(cfg: AugLagConfig, eps, eps_x, eps_f) -> SolverConfig:

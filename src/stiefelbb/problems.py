@@ -1,7 +1,8 @@
 """Objective implementations and generators for the bundled test problems.
 
-Each problem exposes value(x), fg(x) -> (value, euclidean_gradient), grad(x),
-a shape for random starts, and metadata (name, known_optimum).
+Each problem exposes fg(x) -> (value, euclidean_gradient), which the solver
+calls on every line-search trial, value(x) for F alone, a shape for random
+starts, and metadata (name, known_optimum).
 """
 
 import warnings
@@ -76,9 +77,6 @@ class TraceEigenProblem:
         ax = self._apply(x)
         return -float(np.vdot(x, ax)), -2.0 * ax
 
-    def grad(self, x):
-        return -2.0 * self._apply(np.asarray(x, dtype=float))
-
 
 class HeterogeneousQuadraticProblem:
     """F(X) = sum_i X_(i)^T A_i X_(i) with A_i = Diag(n(i-1)+1, ..., l_i, ..., ni):
@@ -117,9 +115,6 @@ class HeterogeneousQuadraticProblem:
         x = np.asarray(x, dtype=float)
         cx = self.coeff * x
         return float(np.vdot(cx, x)), 2.0 * cx
-
-    def grad(self, x):
-        return 2.0 * self.coeff * np.asarray(x, dtype=float)
 
 
 def heterogeneous_problem(n, p, l_mode="minus-one", seed=None):
@@ -174,33 +169,35 @@ class LowRankCorrProblem:
         return v
 
     def residual_matrix(self, v):
+        """V^T V - C, formed in the buffer of V^T V."""
         v = self._check(v)
-        return v.T @ v - self.c
+        m = v.T @ v
+        m -= self.c
+        return m
+
+    def _weighted(self, m):
+        """H o m, formed in the buffer of m."""
+        if self.h is not None:
+            m *= self.h
+        return m
+
+    def _theta_weights(self, m):
+        """theta and W = H o H o m (m itself for unit weights); grad = 2 V W."""
+        w = self.hsq * m if self.hsq is not None else m
+        return 0.5 * float(np.vdot(m, w)), w
 
     def value(self, v) -> float:
-        m = self.residual_matrix(v)
-        if self.h is not None:
-            m = self.h * m
+        m = self._weighted(self.residual_matrix(v))
         return 0.5 * float(np.vdot(m, m))
 
     def fg(self, v):
         v = self._check(v)
-        m = v.T @ v - self.c
-        w = self.hsq * m if self.hsq is not None else m
-        return 0.5 * float(np.vdot(m, w)), 2.0 * (v @ w)
-
-    def grad(self, v):
-        v = self._check(v)
-        m = v.T @ v - self.c
-        w = self.hsq * m if self.hsq is not None else m
-        return 2.0 * (v @ w)
+        f, w = self._theta_weights(self.residual_matrix(v))
+        return f, 2.0 * (v @ w)
 
     def nlcmres(self, v) -> float:
         """The weighted residual ||H o (V^T V - C)||_F = sqrt(2 theta)."""
-        m = self.residual_matrix(v)
-        if self.h is not None:
-            m = self.h * m
-        return float(np.linalg.norm(m))
+        return float(np.linalg.norm(self._weighted(self.residual_matrix(v))))
 
 
 def ex2_matrix(n):

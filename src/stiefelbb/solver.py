@@ -127,11 +127,11 @@ class SolverReport:
         return self.f_history[0]
 
 
-def _problem_grad(problem, x):
-    grad = getattr(problem, "grad", None)
-    if grad is not None:
-        return grad(x)
-    return problem.fg(x)[1]
+def _check_finite(f, d_norm, where):
+    if not math.isfinite(f):
+        raise FloatingPointError(f"objective non-finite {where}: F = {f}")
+    if not math.isfinite(d_norm):
+        raise FloatingPointError(f"gradient non-finite {where}: ||D|| = {d_norm}")
 
 
 class _StiefelEngine:
@@ -413,10 +413,9 @@ def prepare_state(problem, x0=None, cfg=None, gc=None) -> SolverState:
                 )
     f0, g0 = problem.fg(x0)
     f0 = float(f0)
-    if not math.isfinite(f0):
-        raise FloatingPointError(f"objective non-finite at the starting point: F = {f0}")
     d, ctx = engine.direction(x0, g0)
     d_norm = float(np.linalg.norm(d))
+    _check_finite(f0, d_norm, "at the starting point")
     state = SolverState(
         problem=problem,
         cfg=cfg,
@@ -467,8 +466,8 @@ def iterate_once(state: SolverState) -> SolverState:
         return state
     sg = cfg.safeguard
     try:
-        tau_k, y, f_new, i_k = armijo_backtrack(
-            state.problem.value,
+        _, y, f_new, g_new, evals = armijo_backtrack(
+            state.problem.fg,
             curve,
             slope,
             state.tau1,
@@ -477,24 +476,21 @@ def iterate_once(state: SolverState) -> SolverState:
             sg.delta_armijo,
             cfg.max_backtracks,
         )
-    except LineSearchError:
+    except LineSearchError as err:
+        state.nfge += err.evals
         state.done = True
         state.stop_reason = "LineSearchFail"
         return state
-    state.nfge += 1 + i_k
+    state.nfge += evals
     f_new = float(f_new)
-    if not math.isfinite(f_new):
-        raise FloatingPointError(
-            f"objective non-finite at iterate {state.k + 1}: F = {f_new}"
-        )
+    d_new, ctx_new = eng.direction(y, g_new)
+    d_new_norm = float(np.linalg.norm(d_new))
+    _check_finite(f_new, d_new_norm, f"at iterate {state.k + 1}")
 
     # reference value recurrence
     update_reference(state.ref, f_new)
 
-    # new gradient and direction, secant pair, next trial step
-    g_new = _problem_grad(state.problem, y)
-    d_new, ctx_new = eng.direction(y, g_new)
-    d_new_norm = float(np.linalg.norm(d_new))
+    # secant pair, next trial step
     bb = state.bb
     bb.s_prev = y - state.x
     bb.y_prev = d_new - state.d
@@ -565,11 +561,13 @@ def _run(state: SolverState) -> SolverReport:
 
 
 def solve(problem, x0=None, cfg: Optional[SolverConfig] = None) -> SolverReport:
-    """Minimize problem.value over the problem's constraint set from x0.
+    """Minimize the problem's objective over its constraint set from x0.
 
-    The problem must expose value(x) -> float and fg(x) -> (float, ndarray)
-    (optionally grad(x)); its `manifold` attribute selects the geometry
-    ("stiefel" when absent, "spheres" for unit-column products).
+    The problem must expose fg(x) -> (float, ndarray), called at the start
+    and on every line-search trial, and value(x) -> float, called only for
+    f_final at a reorthogonalized returned point. Its `manifold` attribute
+    selects the geometry ("stiefel" when absent, "spheres" for unit-column
+    products). A non-finite F or gradient raises FloatingPointError.
     """
     return _run(prepare_state(problem, x0, cfg))
 

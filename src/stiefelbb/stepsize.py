@@ -3,7 +3,8 @@ nonmonotone Armijo backtracking with reference value F_r.
 
 The backtracking takes a curve object (anything with eval(tau), as returned
 by a retract_<kind> builder or an engine's curve_and_slope) and its initial
-slope, so it serves every scheme without knowing which one it follows.
+slope, so it serves every scheme without knowing which one it follows, and
+returns the accepted point with its gradient.
 """
 
 import math
@@ -31,7 +32,12 @@ DEGENERATE_REL = 1e-16
 
 
 class LineSearchError(RuntimeError):
-    """Backtracking exhausted its budget without satisfying the Armijo test."""
+    """Backtracking exhausted its budget without satisfying the Armijo test;
+    evals is the number of objective evaluations it spent."""
+
+    def __init__(self, message, evals=0):
+        super().__init__(message)
+        self.evals = evals
 
 
 @dataclass
@@ -151,29 +157,33 @@ def update_reference(ref: ReferenceState, f_next: float) -> ReferenceState:
     return ref
 
 
-def armijo_backtrack(value_fn, curve, slope, tau1, f_ref, sigma, delta, max_backtracks):
+def armijo_backtrack(fg_fn, curve, slope, tau1, f_ref, sigma, delta, max_backtracks):
     """Shrink tau by sigma until F(Y(tau)) <= f_ref + delta tau slope.
 
-    value_fn maps a point to F, curve.eval(tau) gives Y(tau), slope is the
-    curve's initial slope (negative) and f_ref the reference value F_r.
-    Returns (tau, y, f_new, i) with i the number of rejected trials.
-    Non-finite trial values are treated as rejections so the shrinking
-    continues past overflow territory.
+    fg_fn maps a point to (F, gradient), curve.eval(tau) gives Y(tau), slope
+    is the curve's initial slope (negative) and f_ref the reference value F_r.
+    Returns (tau, y, f_new, g_new, evals), evals counting the fg_fn calls.
+    Non-finite trial values are rejections, so the shrinking continues past
+    overflow territory; a trial whose curve.eval raises LinAlgError is shrunk
+    without an evaluation.
     """
     if not slope < 0.0:
         raise ValueError(f"line search needs a descent direction, slope = {slope:.3e}")
     tau = tau1
-    for i in range(max_backtracks + 1):
+    evals = 0
+    for _ in range(max_backtracks + 1):
         try:
             y = curve.eval(tau)
         except np.linalg.LinAlgError:
             # a catastrophically large trial step; shrink like a rejection
             tau *= sigma
             continue
-        f_new = value_fn(y)
+        f_new, g_new = fg_fn(y)
+        evals += 1
         if f_new <= f_ref + delta * tau * slope:
-            return tau, y, f_new, i
+            return tau, y, f_new, g_new, evals
         tau *= sigma
     raise LineSearchError(
-        f"no acceptable step within {max_backtracks} backtracks (last tau {tau:.3e})"
+        f"no acceptable step within {max_backtracks} backtracks (last tau {tau:.3e})",
+        evals,
     )

@@ -42,7 +42,6 @@ class TestTraceEigen:
         assert f == -7.0
         assert np.array_equal(g, -2.0 * a @ x)
         assert prob.value(x) == f
-        assert np.array_equal(prob.grad(x), g)
 
     def test_metadata(self):
         prob = TraceEigenProblem(np.eye(5), 2)

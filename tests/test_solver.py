@@ -33,7 +33,8 @@ def random_eigen(n, p, seed):
 
 
 class CountingProblem:
-    """Wrapper counting value/gradient calls for the evaluation audit."""
+    """Wrapper counting value/gradient calls for the evaluation audit; it
+    offers a grad method to show that the solver never calls one."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -53,7 +54,7 @@ class CountingProblem:
 
     def grad(self, x):
         self.grad_calls += 1
-        return self.inner.grad(x)
+        return self.inner.fg(x)[1]
 
 
 class TestConfig:
@@ -187,12 +188,24 @@ class TestReportAccounting:
         inner = random_eigen(20, 3, seed=6)
         counted = CountingProblem(inner)
         rep = solve(counted, random_stiefel(20, 3, seed=6), SolverConfig(seed=6))
-        # one combined evaluation at the start, one value call per trial,
-        # one gradient per accepted iterate
-        assert rep.nfge == 1 + counted.value_calls
-        assert counted.fg_calls == 1
-        assert counted.grad_calls == rep.iters
+        # one combined evaluation at the start and one per trial; value only
+        # at a reorthogonalized returned point
+        assert rep.nfge == counted.fg_calls + counted.value_calls
+        assert counted.value_calls <= 1
+        assert counted.grad_calls == 0
         assert rep.nfge >= rep.iters + 1
+
+    def test_failed_line_search_counts_its_trials(self):
+        class NanTrials(CountingProblem):
+            def fg(self, x):
+                f, g = super().fg(x)
+                return (f if self.fg_calls == 1 else math.nan), g
+
+        counted = NanTrials(random_eigen(10, 2, seed=6))
+        rep = solve(counted, random_stiefel(10, 2, seed=6), SolverConfig(max_backtracks=5))
+        assert rep.stop_reason == "LineSearchFail"
+        assert counted.fg_calls == 7  # the start plus 1 + 5 trials
+        assert rep.nfge == counted.fg_calls + counted.value_calls
 
     def test_f_final_is_value_at_returned_point(self):
         # the literal formulas drift off the manifold, so x_final comes back
@@ -208,7 +221,8 @@ class TestReportAccounting:
         assert rep.f_final == counted.inner.value(rep.x_final)
         assert abs(rep.f_final - rep.f_history[-1]) > 1e-3
         assert len(rep.f_history) == rep.iters + 1
-        assert rep.nfge == 1 + counted.value_calls
+        assert rep.nfge == counted.fg_calls + counted.value_calls
+        assert counted.value_calls == 1 and counted.grad_calls == 0
 
     def test_history_and_properties(self):
         prob = random_eigen(15, 2, seed=7)
@@ -224,7 +238,7 @@ class TestReportAccounting:
         rep = solve(prob, random_stiefel(15, 2, seed=8), cfg)
         # recompute D_rho at the reported point; the final reorthogonalization
         # may nudge it at machine precision
-        d = compute_d_rho(rep.x_final, prob.grad(rep.x_final), cfg.rho)
+        d = compute_d_rho(rep.x_final, prob.fg(rep.x_final)[1], cfg.rho)
         assert rep.residual_final == pytest.approx(
             np.linalg.norm(d), rel=1e-6, abs=1e-10
         )
@@ -338,6 +352,22 @@ class TestStartValidation:
         with pytest.raises(FloatingPointError):
             solve(NanProblem(), random_stiefel(4, 2, seed=17))
 
+    def test_nonfinite_gradient_aborts_with_diagnostics(self):
+        class NanGradient(CountingProblem):
+            def __init__(self, inner, clean_calls):
+                super().__init__(inner)
+                self.clean_calls = clean_calls
+
+            def fg(self, x):
+                f, g = super().fg(x)
+                return f, (g if self.fg_calls <= self.clean_calls else g * math.nan)
+
+        x0 = random_stiefel(8, 2, seed=17)
+        with pytest.raises(FloatingPointError, match="gradient non-finite at the starting point"):
+            solve(NanGradient(random_eigen(8, 2, seed=17), 0), x0)
+        with pytest.raises(FloatingPointError, match="gradient non-finite at iterate 1"):
+            solve(NanGradient(random_eigen(8, 2, seed=17), 1), x0)
+
     def test_random_start_used_when_x0_missing(self):
         prob = random_eigen(12, 2, seed=18)
         rep = solve(prob, cfg=SolverConfig(seed=18))
@@ -412,10 +442,10 @@ class TestGeneralizedSolve:
         rep = solve_generalized(
             prob, x0, gc, SolverConfig(track_feasibility=True, eps=1e-6)
         )
-        g = prob.grad(rep.x_final)
+        g = prob.fg(rep.x_final)[1]
         hx = h @ rep.x_final
         res = np.linalg.norm(g @ (hx.T @ hx) - hx @ (g.T @ hx))
-        g0 = prob.grad(x0)
+        g0 = prob.fg(x0)[1]
         hx0 = h @ x0
         res0 = np.linalg.norm(g0 @ (hx0.T @ hx0) - hx0 @ (g0.T @ hx0))
         assert res <= 1e-4 * res0

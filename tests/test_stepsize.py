@@ -202,7 +202,7 @@ def first_step(prob, x, scheme=RetractionScheme()):
 def backtrack(prob, curve, slope, tau1, f_ref, max_backtracks=60):
     params = SafeguardParams()
     return armijo_backtrack(
-        prob.value, curve, slope, tau1, f_ref,
+        prob.fg, curve, slope, tau1, f_ref,
         params.sigma, params.delta_armijo, max_backtracks,
     )
 
@@ -212,17 +212,18 @@ class TestArmijoBacktrack:
         prob = make_problem()
         state, curve, slope = first_step(prob, random_stiefel(10, 3, seed=8))
         tau1 = state.tau1
-        tau, y, f_new, i = backtrack(prob, curve, slope, tau1, state.ref.f_r)
+        tau, y, f_new, g_new, evals = backtrack(prob, curve, slope, tau1, state.ref.f_r)
         assert state.ref.f_r == math.inf
-        assert i == 0 and tau == tau1
+        assert evals == 1 and tau == tau1
         assert f_new == pytest.approx(prob.value(y))
+        assert np.array_equal(g_new, prob.fg(y)[1])
 
     def test_adversarial_trial_step_backtracks_and_satisfies_test(self):
         prob = make_problem(seed=1)
         state, curve, slope = first_step(prob, random_stiefel(10, 3, seed=9))
         f0 = state.f  # finite reference forces genuine decrease
-        tau, y, f_new, i = backtrack(prob, curve, slope, 1e6, f0)
-        assert i > 0
+        tau, y, f_new, g_new, evals = backtrack(prob, curve, slope, 1e6, f0)
+        assert evals > 1
         # re-check the acceptance inequality with a fresh evaluation
         delta = SafeguardParams().delta_armijo
         assert prob.value(y) <= f0 + delta * tau * slope + 1e-12
@@ -233,14 +234,14 @@ class TestArmijoBacktrack:
         anorm = np.linalg.norm(prob.a, 2)
         state, curve, slope = first_step(prob, random_stiefel(10, 3, seed=10))
         f0 = state.f
-        tau, _, f_new, i = backtrack(prob, curve, slope, 0.25 / anorm, f0)
-        assert i == 0
+        tau, _, f_new, _, evals = backtrack(prob, curve, slope, 0.25 / anorm, f0)
+        assert evals == 1
         assert f_new < f0
 
     def test_nondescent_direction_rejected(self):
         prob = make_problem(seed=3)
         x = random_stiefel(10, 3, seed=11)
-        g = prob.grad(x)
+        g = prob.fg(x)[1]
         d = compute_d_rho(x, g, 0.25)
         # the curve along +D_rho ascends: its initial slope is <G, D_rho> > 0
         ascent = retract_new(x, -d)
@@ -250,8 +251,30 @@ class TestArmijoBacktrack:
     def test_exhausted_budget_raises(self):
         prob = make_problem(seed=4)
         state, curve, slope = first_step(prob, random_stiefel(10, 3, seed=12))
-        with pytest.raises(LineSearchError):
+        with pytest.raises(LineSearchError) as err:
             backtrack(prob, curve, slope, 1e6, state.f, max_backtracks=2)
+        assert err.value.evals == 3
+
+    def test_failed_curve_evaluations_are_not_counted(self):
+        # the first two trials raise LinAlgError before any objective call
+        prob = make_problem(seed=7)
+        state, curve, slope = first_step(prob, random_stiefel(10, 3, seed=15))
+        calls = []
+
+        class Fragile:
+            def eval(self, tau):
+                if len(calls) < 2:
+                    calls.append(tau)
+                    raise np.linalg.LinAlgError("singular J")
+                return curve.eval(tau)
+
+        tau, _, _, _, evals = backtrack(prob, Fragile(), slope, state.tau1, math.inf)
+        assert evals == 1
+        assert tau == state.tau1 * SafeguardParams().sigma ** 2
+        calls.clear()
+        with pytest.raises(LineSearchError) as err:
+            backtrack(prob, Fragile(), slope, state.tau1, math.inf, max_backtracks=1)
+        assert err.value.evals == 0
 
     def test_every_scheme_kind_descends(self):
         prob = make_problem(seed=5)
@@ -259,7 +282,7 @@ class TestArmijoBacktrack:
         for kind in ("new", "polar", "qr", "gp", "wenyin", "geodesic", "lowrank"):
             state, curve, slope = first_step(prob, x, RetractionScheme(kind=kind))
             f0 = state.f
-            tau, y, f_new, i = backtrack(prob, curve, slope, state.tau1, f0)
+            tau, y, f_new, g_new, evals = backtrack(prob, curve, slope, state.tau1, f0)
             assert f_new < f0, kind
             assert f_new == pytest.approx(prob.value(y)), kind
 
