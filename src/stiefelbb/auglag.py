@@ -20,22 +20,10 @@ from .solver import SafeguardParams, SolverConfig, SolverReport, solve
 
 __all__ = [
     "AugLagConfig",
-    "AugLagState",
     "AugLagReport",
     "AugLagSubproblem",
     "auglag_solve",
 ]
-
-
-@dataclass
-class AugLagState:
-    """Multipliers, penalty, violation, and the current subproblem tolerances."""
-
-    lam: np.ndarray
-    mu: float
-    nu: float
-    k: int
-    sub_tols: tuple  # (eps_k, eps_x_k, eps_f_k)
 
 
 @dataclass
@@ -53,7 +41,6 @@ class AugLagConfig:
     shrink: float = 0.1
     sub_max_iter: int = 2000
     nu_target: float = 3e-8
-    nu_stall: float = 1e-8
     max_outer: int = 30
     rho: float = 0.25
     scheme: RetractionScheme = field(default_factory=RetractionScheme)
@@ -86,7 +73,9 @@ class AugLagReport:
     nfge_total: int
     iters_total: int
     sub_reports: List[SolverReport]
-    stop_reason: str  # "NuTarget", "NuStall", or "OuterCap"
+    # "NuTarget": nu_final <= nu_target (also the empty entry set);
+    # "OuterCap": max_outer steps ran without reaching it
+    stop_reason: str
     hit_outer_cap: bool
     wall_time: float
 
@@ -166,8 +155,11 @@ def auglag_solve(
 ) -> AugLagReport:
     """Run the outer loop from the modified-PCA start (or a supplied v0).
 
-    Stops when nu <= nu_target, when nu stalls (|change| <= nu_stall), or at
-    the outer cap (reported via hit_outer_cap).
+    Stops with "NuTarget" once the violation nu = sum |v_i^T v_j - q_ij| over
+    the pinned entries is at most nu_target, else with "OuterCap" (and
+    hit_outer_cap set) after max_outer steps; a pin set that cannot be met
+    ends there. An empty entry set is one solve of the base problem.
+    wall_time covers the whole call.
     """
     cfg = AugLagConfig() if cfg is None else cfg
     if v0 is None:
@@ -200,7 +192,6 @@ def auglag_solve(
     mu = cfg.mu0
     eps, eps_x, eps_f = cfg.eps0, cfg.eps_x0, cfg.eps_f0
     v = np.asarray(v0, dtype=float)
-    nu_prev = None
     nu_trace: List[float] = []
     mu_trace: List[float] = []
     sub_reports: List[SolverReport] = []
@@ -219,10 +210,6 @@ def auglag_solve(
         if nu <= cfg.nu_target:
             stop_reason = "NuTarget"
             break
-        if nu_prev is not None and abs(nu - nu_prev) <= cfg.nu_stall:
-            stop_reason = "NuStall"
-            break
-        nu_prev = nu
         mu *= cfg.mu_growth
         eps = max(cfg.shrink * eps, cfg.eps_floor)
         eps_x = max(cfg.shrink * eps_x, cfg.eps_x_floor)

@@ -1,16 +1,25 @@
 """Benchmark runner: seeded experiment batches, machine-readable run records,
 scheme comparisons, and the feasibility-drift demonstration, exposed both as
-functions and through the ``stiefel-bench`` command line."""
+functions and through the ``stiefel-bench`` command line.
+
+``stiefel-bench run`` writes one `RunRecord` per solve plus one mean row per
+configuration (JSONL or CSV) and exits 1 when any solve ended in
+``LineSearchFail``; ``compare`` writes one JSON row per configuration;
+``drift`` writes a TSV of the feasibility error per iteration. Output goes to
+``--out``, to a default file name under ``$STIEFELBB_OUT_DIR`` when that is
+set, or to stdout. ``wall_ms`` is the solver's own whole-solve time
+(`SolverReport.wall_time`, or `AugLagReport.wall_time` on the fixed-entry
+route)."""
 
 import argparse
 import csv
 import json
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, replace
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -28,7 +37,7 @@ from .problems import (
     sample_fixed_entries,
 )
 from .auglag import AugLagConfig, auglag_solve
-from .retractions import GTAU_SENSITIVE, RetractionScheme, SCHEME_KINDS
+from .retractions import GTAU_NAMES, GTAU_SENSITIVE, RetractionScheme, SCHEME_KINDS
 from .solver import SolverConfig, solve
 
 __all__ = [
@@ -46,37 +55,29 @@ __all__ = [
 
 ENV_OUT_DIR = "STIEFELBB_OUT_DIR"
 
-RECORD_FIELDS = (
-    "problem_id",
-    "n",
-    "p",
-    "scheme",
-    "rho",
-    "gtau",
-    "seed",
-    "stop_reason",
-    "f_initial",
-    "f_final",
-    "residual",
-    "feasi",
-    "nfge",
-    "iters",
-    "wall_ms",
-)
-
-CLI_SCHEMES = ("new", "polar", "qr", "gp", "wenyin", "geodesic", "lowrank")
+CLI_SCHEMES = tuple(k for k in SCHEME_KINDS if k != "generalized")
 
 PROBLEM_IDS = ("eigen", "balogh", "ex2", "ex3", "nlcm", "ex10")
 _PROBLEM_ALIASES = {"heterogeneous": "balogh"}
+
+# an evaluation count: an int for one solve, possibly fractional for a mean row
+_Count = Union[int, float]
+
+
+def _as_count(v):
+    v = float(v)
+    return int(v) if v.is_integer() else v
 
 
 @dataclass
 class RunRecord:
     """One solve, serialized losslessly as JSONL or CSV.
 
-    `residual` is the problem's natural reported residual: the final ||D||_F
-    for plain manifold problems, the correlation residual ||H o (V^T V -
-    C)||_F for the low-rank correlation family.
+    The fields are the configuration (problem_id .. gtau), the run (seed,
+    stop_reason) and its outcome (f_initial .. wall_ms); mean rows average
+    the outcome. `residual` is the problem's natural reported residual: the
+    final ||D||_F for plain manifold problems, the correlation residual
+    ||H o (V^T V - C)||_F for the low-rank correlation family.
     """
 
     problem_id: str
@@ -91,8 +92,8 @@ class RunRecord:
     f_final: float
     residual: float
     feasi: float
-    nfge: float
-    iters: float
+    nfge: _Count
+    iters: _Count
     wall_ms: float
 
     def to_dict(self) -> dict:
@@ -100,15 +101,21 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
+        """Build a record from parsed JSON or CSV text, casting each field to
+        its annotated type."""
         kw = dict(d)
-        for key in ("n", "p", "seed"):
-            kw[key] = int(kw[key])
-        for key in ("rho", "f_initial", "f_final", "residual", "feasi", "wall_ms"):
-            kw[key] = float(kw[key])
-        for key in ("nfge", "iters"):
-            v = float(kw[key])
-            kw[key] = int(v) if v.is_integer() else v
+        for name, cast in _CASTS.items():
+            kw[name] = cast(kw[name])
         return cls(**kw)
+
+
+_CASTS = {
+    f.name: {str: str, int: int, float: float, _Count: _as_count}[f.type]
+    for f in fields(RunRecord)
+}
+RECORD_FIELDS = tuple(_CASTS)
+_GROUP_KEY = RECORD_FIELDS[: RECORD_FIELDS.index("seed")]
+_OUTCOME = RECORD_FIELDS[RECORD_FIELDS.index("f_initial"):]
 
 
 def _csv_cell(v):
@@ -129,16 +136,6 @@ def write_records(records: Sequence[RunRecord], stream, fmt="jsonl"):
         raise ValueError(f"unknown format {fmt!r}, expected 'jsonl' or 'csv'")
 
 
-def _parse_cell(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        try:
-            return float(text)
-        except ValueError:
-            return text
-
-
 def read_records(stream, fmt="jsonl") -> List[RunRecord]:
     """Parse records previously produced by write_records."""
     if isinstance(stream, str):
@@ -151,11 +148,7 @@ def read_records(stream, fmt="jsonl") -> List[RunRecord]:
             if line.strip()
         ]
     if fmt == "csv":
-        reader = csv.DictReader(stream)
-        return [
-            RunRecord.from_dict({k: _parse_cell(v) for k, v in row.items()})
-            for row in reader
-        ]
+        return [RunRecord.from_dict(row) for row in csv.DictReader(stream)]
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -165,36 +158,20 @@ def aggregate_records(records: Sequence[RunRecord]) -> List[RunRecord]:
     stop_reason 'mean'."""
     groups = {}
     for r in records:
-        key = (r.problem_id, r.n, r.p, r.scheme, r.rho, r.gtau)
-        groups.setdefault(key, []).append(r)
-    out = []
-    for (pid, n, p, scheme, rho, gtau), rs in groups.items():
-        m = len(rs)
-
-        def mean(field):
-            val = sum(float(getattr(r, field)) for r in rs) / m
-            return int(val) if val.is_integer() else val
-
-        out.append(
-            RunRecord(
-                problem_id="a." + pid,
-                n=n,
-                p=p,
-                scheme=scheme,
-                rho=rho,
-                gtau=gtau,
-                seed=-1,
-                stop_reason="mean",
-                f_initial=float(mean("f_initial")),
-                f_final=float(mean("f_final")),
-                residual=float(mean("residual")),
-                feasi=float(mean("feasi")),
-                nfge=mean("nfge"),
-                iters=mean("iters"),
-                wall_ms=float(mean("wall_ms")),
-            )
+        groups.setdefault(tuple(getattr(r, f) for f in _GROUP_KEY), []).append(r)
+    return [
+        replace(
+            rs[0],
+            problem_id="a." + rs[0].problem_id,
+            seed=-1,
+            stop_reason="mean",
+            **{
+                f: _CASTS[f](sum(float(getattr(r, f)) for r in rs) / len(rs))
+                for f in _OUTCOME
+            },
         )
-    return out
+        for rs in groups.values()
+    ]
 
 
 def _tridiag(n):
@@ -280,22 +257,15 @@ class _Task:
     is_corr: bool = False
 
 
-def _solver_config(args, seed) -> SolverConfig:
-    scheme = RetractionScheme(
-        kind=args.scheme,
-        gtau=args.gtau or "linear",
-        feasibility_control=not args.uncontrolled,
+def _solver_config(args, kind, rho, gtau) -> SolverConfig:
+    """The solver settings of one configuration; the tolerance flags left
+    unset keep the SolverConfig defaults."""
+    tols = {k: getattr(args, k) for k in ("eps", "eps_x", "eps_f", "max_iter")}
+    return SolverConfig(
+        rho=rho,
+        scheme=RetractionScheme(kind, gtau, feasibility_control=not args.uncontrolled),
+        **{k: v for k, v in tols.items() if v is not None},
     )
-    kw = {}
-    if args.eps is not None:
-        kw["eps"] = args.eps
-    if args.eps_x is not None:
-        kw["eps_x"] = args.eps_x
-    if args.eps_f is not None:
-        kw["eps_f"] = args.eps_f
-    if args.max_iter is not None:
-        kw["max_iter"] = args.max_iter
-    return SolverConfig(rho=args.rho, scheme=scheme, seed=seed, **kw)
 
 
 def _resolve_problem_id(args) -> str:
@@ -316,12 +286,16 @@ def _resolve_problem_id(args) -> str:
     return pid
 
 
+def _split(value):
+    return [t for t in str(value).split(",") if t.strip()]
+
+
 def _parse_ranks(args, default):
     if args.ranks is not None and args.p is not None:
         raise SystemExit("error: pass either --ranks or --p, not both")
     if args.ranks is not None:
         try:
-            ranks = [int(t) for t in str(args.ranks).split(",") if t.strip()]
+            ranks = [int(t) for t in _split(args.ranks)]
         except ValueError:
             raise SystemExit(f"error: bad --ranks value {args.ranks!r}") from None
         if not ranks:
@@ -340,43 +314,29 @@ def build_tasks(args) -> List[_Task]:
             f"warning: --gtau is ignored by scheme {args.scheme!r}",
             file=sys.stderr,
         )
-    fes = None
-    if args.fixed_entries:
-        fes = FixedEntrySet.from_text(args.fixed_entries)
+    fes = FixedEntrySet.from_text(args.fixed_entries) if args.fixed_entries else None
 
+    cfg = _solver_config(args, args.scheme, args.rho, args.gtau or "linear")
     tasks: List[_Task] = []
     base_seed = args.seed
 
+    def add(seed, prob, x0, n, p, pins=None, is_corr=False):
+        scfg = replace(cfg, seed=seed)
+        alcfg = None
+        if pins is not None:
+            alcfg = AugLagConfig(rho=args.rho, scheme=scfg.scheme, seed=seed)
+        tasks.append(_Task(pid, prob, x0, n, p, seed, scfg, pins, alcfg, is_corr))
+
     def corr_tasks(problem_for_rank, default_n, default_rank):
         n = args.n or default_n
-        ranks = _parse_ranks(args, default_rank)
-        for r in ranks:
+        for r in _parse_ranks(args, default_rank):
             prob = problem_for_rank(n, r)
             pca = modified_pca_init(prob.c, r) if args.init == "pca" else None
+            pins = fes
+            if pins is None and pid == "ex10":
+                pins = sample_fixed_entries(prob.n, n_e=3, seed=base_seed)
             for rep in range(args.repeat):
-                seed = base_seed + rep
-                task = _Task(
-                    problem_id=pid,
-                    problem=prob,
-                    x0=pca,
-                    n=prob.n,
-                    p=r,
-                    seed=seed,
-                    cfg=_solver_config(args, seed),
-                    is_corr=True,
-                )
-                if fes is not None or pid == "ex10":
-                    task.fes = (
-                        fes
-                        if fes is not None
-                        else sample_fixed_entries(prob.n, n_e=3, seed=base_seed)
-                    )
-                    task.auglag_cfg = AugLagConfig(
-                        rho=args.rho,
-                        scheme=task.cfg.scheme,
-                        seed=seed,
-                    )
-                tasks.append(task)
+                add(base_seed + rep, prob, pca, prob.n, r, pins, is_corr=True)
 
     if pid == "eigen":
         n = args.n or 100
@@ -391,10 +351,7 @@ def build_tasks(args) -> List[_Task]:
         for p in _parse_ranks(args, 4):
             prob = TraceEigenProblem(a, p)
             for rep in range(args.repeat):
-                seed = base_seed + rep
-                tasks.append(
-                    _Task(pid, prob, None, n, p, seed, _solver_config(args, seed))
-                )
+                add(base_seed + rep, prob, None, n, p)
     elif pid == "balogh":
         n = args.n or 100
         for p in _parse_ranks(args, 5):
@@ -408,9 +365,7 @@ def build_tasks(args) -> List[_Task]:
                 prob = shared or heterogeneous_problem(
                     n, p, "random", seed=100000 + seed
                 )
-                tasks.append(
-                    _Task(pid, prob, None, n, p, seed, _solver_config(args, seed))
-                )
+                add(seed, prob, None, n, p)
     elif pid == "ex2":
         corr_tasks(lambda n, r: gen_ex2(n, r), 500, 5)
     elif pid == "ex3":
@@ -431,36 +386,33 @@ def build_tasks(args) -> List[_Task]:
     return tasks
 
 
-def _sphere_feasibility(v) -> float:
-    return float(np.linalg.norm(np.einsum("ij,ij->j", v, v) - 1.0))
-
-
 def _run_task(task: _Task) -> RunRecord:
     if task.fes is not None:
-        t0 = time.perf_counter()
         alr = auglag_solve(task.problem, task.fes, task.auglag_cfg, v0=task.x0)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        return RunRecord(
-            problem_id=task.problem_id,
-            n=task.n,
-            p=task.p,
-            scheme=task.cfg.scheme.kind,
-            rho=task.cfg.rho,
-            gtau=task.cfg.scheme.gtau,
-            seed=task.seed,
+        outcome = dict(
             stop_reason=alr.stop_reason,
             f_initial=alr.f_initial,
             f_final=alr.theta_final,
             residual=alr.nlcmres_final,
-            feasi=_sphere_feasibility(alr.v_final),
+            feasi=alr.sub_reports[-1].feasi,
             nfge=alr.nfge_total,
             iters=alr.iters_total,
-            wall_ms=wall_ms,
+            wall_ms=alr.wall_time * 1000.0,
         )
-    rep = solve(task.problem, task.x0, task.cfg)
-    residual = (
-        task.problem.nlcmres(rep.x_final) if task.is_corr else rep.residual_final
-    )
+    else:
+        rep = solve(task.problem, task.x0, task.cfg)
+        outcome = dict(
+            stop_reason=rep.stop_reason,
+            f_initial=rep.f_initial,
+            f_final=rep.f_final,
+            residual=(
+                task.problem.nlcmres(rep.x_final) if task.is_corr else rep.residual_final
+            ),
+            feasi=rep.feasi,
+            nfge=rep.nfge,
+            iters=rep.iters,
+            wall_ms=rep.wall_time * 1000.0,
+        )
     return RunRecord(
         problem_id=task.problem_id,
         n=task.n,
@@ -469,14 +421,7 @@ def _run_task(task: _Task) -> RunRecord:
         rho=task.cfg.rho,
         gtau=task.cfg.scheme.gtau,
         seed=task.seed,
-        stop_reason=rep.stop_reason,
-        f_initial=rep.f_initial,
-        f_final=rep.f_final,
-        residual=residual,
-        feasi=rep.feasi,
-        nfge=rep.nfge,
-        iters=rep.iters,
-        wall_ms=rep.wall_time * 1000.0,
+        **outcome,
     )
 
 
@@ -534,16 +479,18 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command")
 
     run = sub.add_parser("run", help="solve a problem batch and emit run records")
+    run.set_defaults(handler=_cmd_run)
     run.add_argument("problem_pos", nargs="?", metavar="PROBLEM",
                      help=f"problem id: {', '.join(PROBLEM_IDS)}")
     run.add_argument("--scheme", choices=CLI_SCHEMES, default="new")
     run.add_argument("--rho", type=float, default=0.25,
                      help="descent-direction parameter (0.25 Euclidean, 0.5 canonical)")
-    run.add_argument("--gtau", choices=("linear", "expdamped"))
+    run.add_argument("--gtau", choices=GTAU_NAMES)
     run.add_argument("--config", help="JSON file of flag defaults")
     _add_common_flags(run)
 
     comp = sub.add_parser("compare", help="paired comparison across configurations")
+    comp.set_defaults(handler=_cmd_compare)
     comp.add_argument("problem_pos", nargs="?", metavar="PROBLEM")
     comp.add_argument("--scheme", default="new",
                       help="comma list of scheme kinds (baseline last)")
@@ -554,30 +501,32 @@ def _build_parser():
     _add_common_flags(comp)
 
     drift = sub.add_parser("drift", help="feasibility drift: controlled vs plain W")
+    drift.set_defaults(handler=_cmd_drift)
     drift.add_argument("--n", type=int, default=2000)
     drift.add_argument("--p", type=int, default=6)
     drift.add_argument("--steps", type=int, default=2000)
     drift.add_argument("--seed", type=int, default=0)
     drift.add_argument("--out", help="output path (stdout when omitted)")
-    parser.subcommands = {"run": run, "compare": comp, "drift": drift}
+    parser.subcommands = sub.choices
     return parser
 
 
-def _open_out(args, default_name):
+@contextmanager
+def _output(args, default_name):
+    """The output stream: --out (relative to $STIEFELBB_OUT_DIR when that is
+    set), else default_name under $STIEFELBB_OUT_DIR, else stdout."""
     out = getattr(args, "out", None)
     env = os.environ.get(ENV_OUT_DIR)
-    if out is None:
-        if not env:
-            return sys.stdout, False
-        path = os.path.join(env, default_name)
-    elif not os.path.isabs(out) and env:
-        path = os.path.join(env, out)
-    else:
-        path = out
+    if out is None and not env:
+        yield sys.stdout
+        return
+    # join keeps an absolute --out as it is
+    path = os.path.join(env or "", default_name if out is None else out)
     d = os.path.dirname(path)
     if d:
         os.makedirs(d, exist_ok=True)
-    return open(path, "w", encoding="utf-8"), True
+    with open(path, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 def _apply_config_file(parser, argv):
@@ -601,12 +550,8 @@ def _apply_config_file(parser, argv):
 
 def _cmd_run(args) -> int:
     records = run_experiment(args)
-    stream, close = _open_out(args, f"stiefelbb-run.{args.format}")
-    try:
+    with _output(args, f"stiefelbb-run.{args.format}") as stream:
         write_records(records, stream, args.format)
-    finally:
-        if close:
-            stream.close()
     singles = [r for r in records if not r.problem_id.startswith("a.")]
     fails = sum(1 for r in singles if r.stop_reason == "LineSearchFail")
     print(
@@ -617,65 +562,39 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    kinds = [t for t in str(args.scheme).split(",") if t.strip()]
+    kinds = _split(args.scheme)
     for k in kinds:
         if k not in CLI_SCHEMES:
             raise SystemExit(f"error: unknown scheme {k!r}")
-    rhos = [float(t) for t in str(args.rho).split(",") if str(t).strip()] if isinstance(
-        args.rho, str
-    ) else [args.rho]
-    gtaus = (
-        [t for t in str(args.gtau).split(",") if t.strip()] if args.gtau else ["linear"]
+    # a --config file may give rho as a number
+    rhos = (
+        [float(t) for t in _split(args.rho)] if isinstance(args.rho, str) else [args.rho]
     )
+    gtaus = _split(args.gtau) if args.gtau else ["linear"]
     for g in gtaus:
-        if g not in ("linear", "expdamped"):
+        if g not in GTAU_NAMES:
             raise SystemExit(f"error: unknown gtau {g!r}")
-    extra = {}
-    if args.eps is not None:
-        extra["eps"] = args.eps
-    if args.eps_x is not None:
-        extra["eps_x"] = args.eps_x
-    if args.eps_f is not None:
-        extra["eps_f"] = args.eps_f
-    if args.max_iter is not None:
-        extra["max_iter"] = args.max_iter
-    configs = []
-    for k in kinds:
-        for rho in rhos:
-            for g in gtaus:
-                configs.append(
-                    SolverConfig(
-                        rho=rho,
-                        scheme=RetractionScheme(
-                            k, g, feasibility_control=not args.uncontrolled
-                        ),
-                        **extra,
-                    )
-                )
+    configs = [
+        _solver_config(args, k, rho, g) for k in kinds for rho in rhos for g in gtaus
+    ]
     if len(configs) < 2:
         raise SystemExit(
             "error: need >= 2 configurations (comma lists of --scheme/--rho/--gtau)"
         )
 
     # reuse the run-task builder for the problem instance (first rank only)
-    args.ranks = None if args.p is not None else args.ranks
     base_args = argparse.Namespace(**vars(args))
-    base_args.scheme = kinds[0]
-    base_args.rho = rhos[0]
-    base_args.gtau = None
+    base_args.scheme, base_args.rho, base_args.gtau = kinds[0], rhos[0], None
     base_args.repeat = 1
-    tasks = build_tasks(base_args)
-    task = tasks[0]
+    if args.p is not None:
+        base_args.ranks = None
+    task = build_tasks(base_args)[0]
     seeds = [args.seed + i for i in range(args.repeat)]
     rows = compare_schemes(task.problem, configs, seeds, x0=task.x0)
 
-    stream, close = _open_out(args, "stiefelbb-compare.jsonl")
-    try:
+    with _output(args, "stiefelbb-compare.jsonl") as stream:
         for row in rows:
             stream.write(json.dumps(row) + "\n")
-    finally:
-        if close:
-            stream.close()
     hdr = f"{'scheme':>9} {'rho':>6} {'gtau':>9} {'a.nfe':>10} {'a.s.ratio':>10}"
     print(hdr, file=sys.stderr)
     for row in rows:
@@ -690,36 +609,26 @@ def _cmd_compare(args) -> int:
 def _cmd_drift(args) -> int:
     controlled = drift_demo(args.n, args.p, args.steps, True, seed=args.seed)
     plain = drift_demo(args.n, args.p, args.steps, False, seed=args.seed)
-    stream, close = _open_out(args, "stiefelbb-drift.tsv")
-    try:
+    with _output(args, "stiefelbb-drift.tsv") as stream:
         stream.write("# iter\tcontrolled\tuncontrolled\n")
         for k in range(max(len(controlled), len(plain))):
             c = f"{controlled[k]:.6e}" if k < len(controlled) else ""
             u = f"{plain[k]:.6e}" if k < len(plain) else ""
             stream.write(f"{k + 1}\t{c}\t{u}\n")
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] not in ("run", "compare", "drift") and not argv[0].startswith(
-        "-"
-    ):
-        argv = ["run"] + argv
     parser = _build_parser()
+    if argv and argv[0] not in parser.subcommands and not argv[0].startswith("-"):
+        argv.insert(0, "run")
     _apply_config_file(parser, argv)
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()
         return 0
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    return _cmd_drift(args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

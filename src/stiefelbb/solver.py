@@ -108,7 +108,8 @@ class SolverReport:
 
     f_history holds F at the accepted iterates; f_final is F at x_final,
     which differs from f_history[-1] when the last iterate was
-    reorthogonalized before being returned.
+    reorthogonalized before being returned. wall_time is the seconds of the
+    whole solve, from the start evaluation to f_final.
     """
 
     x_final: np.ndarray
@@ -531,11 +532,10 @@ def iterate_once(state: SolverState) -> SolverState:
     return state
 
 
-def _run(state: SolverState) -> SolverReport:
-    t0 = time.perf_counter()
+def _run(state: SolverState, t0: float) -> SolverReport:
+    """Iterate to a stop and report; t0 is when the solve call began."""
     while not state.done:
         iterate_once(state)
-    wall = time.perf_counter() - t0
     eng = state.engine
     x_final, f_final, nfge = state.x, state.f, state.nfge
     feas = eng.feasibility(x_final)
@@ -553,7 +553,7 @@ def _run(state: SolverState) -> SolverReport:
         nfge=nfge,
         iters=state.k,
         stop_reason=state.stop_reason,
-        wall_time=wall,
+        wall_time=time.perf_counter() - t0,
         feasibility_trace=(
             list(state.feas_trace) if state.feas_trace is not None else None
         ),
@@ -569,7 +569,8 @@ def solve(problem, x0=None, cfg: Optional[SolverConfig] = None) -> SolverReport:
     selects the geometry ("stiefel" when absent, "spheres" for unit-column
     products). A non-finite F or gradient raises FloatingPointError.
     """
-    return _run(prepare_state(problem, x0, cfg))
+    t0 = time.perf_counter()
+    return _run(prepare_state(problem, x0, cfg), t0)
 
 
 def solve_generalized(
@@ -579,4 +580,5 @@ def solve_generalized(
     Cholesky correction X L^{-T} L_K^T before the loop starts."""
     if not isinstance(gc, GeneralizedConstraint):
         raise TypeError("gc must be a GeneralizedConstraint")
-    return _run(prepare_state(problem, x0, cfg, gc=gc))
+    t0 = time.perf_counter()
+    return _run(prepare_state(problem, x0, cfg, gc=gc), t0)

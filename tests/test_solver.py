@@ -1,6 +1,7 @@
 """The adaptive BB descent loop: termination, accounting, determinism."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -231,6 +232,18 @@ class TestReportAccounting:
         assert rep.f_final == rep.f_history[-1]
         assert len(rep.f_history) == rep.iters + 1
         assert rep.wall_time >= 0.0
+
+    def test_wall_time_covers_the_start_evaluation(self):
+        class SlowStart(CountingProblem):
+            def fg(self, x):
+                if self.fg_calls == 0:
+                    time.sleep(0.02)
+                return super().fg(x)
+
+        prob = SlowStart(random_eigen(10, 2, seed=5))
+        rep = solve(prob, random_stiefel(10, 2, seed=5), SolverConfig(max_iter=0))
+        assert rep.iters == 0 and prob.fg_calls == 1
+        assert rep.wall_time >= 0.02
 
     def test_residual_final_matches_direction_norm(self):
         prob = random_eigen(15, 2, seed=8)
