@@ -75,15 +75,28 @@ from .auglag import (
     AugLagSubproblem,
     auglag_solve,
 )
-from .bench import (
-    RunRecord,
-    aggregate_records,
-    compare_schemes,
-    drift_demo,
-    read_records,
-    run_experiment,
-    write_records,
+
+# the stiefel-bench names load the CLI module on first access (PEP 562), so
+# `import stiefelbb` does not import it and `python -m stiefelbb.bench`
+# runs it only once
+_BENCH_NAMES = (
+    "RunRecord",
+    "aggregate_records",
+    "compare_schemes",
+    "drift_demo",
+    "read_records",
+    "run_experiment",
+    "write_records",
 )
+
+
+def __getattr__(name):
+    if name in _BENCH_NAMES:
+        from . import bench
+
+        return getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 
@@ -145,12 +158,6 @@ __all__ = [
     "AugLagReport",
     "AugLagSubproblem",
     "auglag_solve",
-    "RunRecord",
-    "aggregate_records",
-    "compare_schemes",
-    "drift_demo",
-    "read_records",
-    "run_experiment",
-    "write_records",
+    *_BENCH_NAMES,
     "__version__",
 ]

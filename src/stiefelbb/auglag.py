@@ -1,10 +1,11 @@
 """Augmented-Lagrangian outer loop for the low-rank correlation problem with
 prescribed off-diagonal entries.
 
-Each outer iteration minimizes
-    L_mu(V, Lambda) = theta(V; H, C) + (mu/2) theta(V; H_e, C-hat + Lambda/mu)
+Each pinned entry e = (i, j, q_e) has one multiplier lambda_e, kept in a
+vector in entry-set order. Each outer iteration minimizes
+    L_mu(V, lambda) = theta(V; H, C) + (mu/2) sum_e (v_i^T v_j - q_e - lambda_e/mu)^2
 over unit columns with the feasible BB solver, then updates the multipliers
-Lambda <- Lambda - mu H_e o (V^T V - C-hat) and grows mu tenfold, tightening
+lambda_e <- lambda_e - mu (v_i^T v_j - q_e) and grows mu tenfold, tightening
 the subproblem tolerances on a capped geometric schedule.
 """
 
@@ -68,7 +69,7 @@ class AugLagReport:
     nu_final: float
     nu_trace: List[float]
     mu_trace: List[float]
-    lambda_final: np.ndarray
+    lambda_final: np.ndarray  # one multiplier per pinned entry, fes order
     outer_iters: int
     nfge_total: int
     iters_total: int
@@ -85,9 +86,10 @@ class AugLagReport:
 
 
 class AugLagSubproblem:
-    """L_mu as a sphere-product problem. Each evaluation forms one V^T V,
-    gathers the pinned entries from it and subtracts C in place; the
-    penalty runs over the index list of the entry set."""
+    """L_mu as a sphere-product problem; lam holds one multiplier per entry
+    of fes, in its order. Each evaluation forms one V^T V, gathers the
+    pinned entries from it and subtracts C in place; the penalty runs over
+    the index list of the entry set."""
 
     manifold = "spheres"
 
@@ -100,37 +102,34 @@ class AugLagSubproblem:
         self.shape = base.shape
         self.name = f"{base.name}+auglag"
         self.known_optimum = None
-        n = base.n
-        fes._check_n(n)
+        fes._check_n(base.n)
         lam = np.asarray(lam, dtype=float)
-        if lam.shape != (n, n):
-            raise ValueError(f"Lambda must be {n}x{n}, got {lam.shape}")
-        # 0-based strict-lower (i, j); targets C-hat + Lambda/mu there and at (j, i)
+        if lam.shape != (len(fes),):
+            raise ValueError(f"lam must have shape ({len(fes)},), got {lam.shape}")
+        # 0-based strict-lower (i, j) and the targets q + lam/mu there
         self._i = fes.rows - 1
         self._j = fes.cols - 1
-        self._t_ij = fes.values + lam[self._i, self._j] / self.mu
-        self._t_ji = fes.values + lam[self._j, self._i] / self.mu
+        self._t = fes.values + lam / self.mu
 
     def _gram(self, v):
         """V, V^T V - C in one buffer, the pinned residuals, and the penalty."""
         v = self.base._check(v)
         m = v.T @ v
-        r_ij = m[self._i, self._j] - self._t_ij
-        r_ji = m[self._j, self._i] - self._t_ji
+        r = m[self._i, self._j] - self._t
         m -= self.base.c
-        pen = 0.25 * self.mu * (float(np.vdot(r_ij, r_ij)) + float(np.vdot(r_ji, r_ji)))
-        return v, m, r_ij, r_ji, pen
+        return v, m, r, 0.5 * self.mu * float(np.vdot(r, r))
 
     def value(self, v) -> float:
-        _, m, _, _, pen = self._gram(v)
+        _, m, _, pen = self._gram(v)
         m = self.base._weighted(m)
         return 0.5 * float(np.vdot(m, m)) + pen
 
     def fg(self, v):
-        v, m, r_ij, r_ji, pen = self._gram(v)
+        v, m, r, pen = self._gram(v)
         f, w = self.base._theta_weights(m)
-        w[self._i, self._j] += (0.5 * self.mu) * r_ij
-        w[self._j, self._i] += (0.5 * self.mu) * r_ji
+        half_mu_r = (0.5 * self.mu) * r
+        w[self._i, self._j] += half_mu_r
+        w[self._j, self._i] += half_mu_r
         return f + pen, 2.0 * (v @ w)
 
 
@@ -175,7 +174,7 @@ def auglag_solve(
             nu_final=0.0,
             nu_trace=[0.0],
             mu_trace=[cfg.mu0],
-            lambda_final=np.zeros((base.n, base.n)),
+            lambda_final=np.zeros(0),
             outer_iters=1,
             nfge_total=rep.nfge,
             iters_total=rep.iters,
@@ -185,10 +184,8 @@ def auglag_solve(
             wall_time=time.perf_counter() - t0,
         )
 
-    n = base.n
-    he = fes.mask(n)
-    ctarget = fes.target_matrix(n)
-    lam = np.zeros((n, n))
+    i, j = fes.rows - 1, fes.cols - 1
+    lam = np.zeros(len(fes))
     mu = cfg.mu0
     eps, eps_x, eps_f = cfg.eps0, cfg.eps_x0, cfg.eps_f0
     v = np.asarray(v0, dtype=float)
@@ -206,7 +203,7 @@ def auglag_solve(
         nu_trace.append(nu)
         mu_trace.append(mu)
         # multiplier update with the just-computed factor
-        lam = lam - mu * (he * (v.T @ v - ctarget))
+        lam = lam - mu * ((v.T @ v)[i, j] - fes.values)
         if nu <= cfg.nu_target:
             stop_reason = "NuTarget"
             break

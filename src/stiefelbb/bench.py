@@ -174,15 +174,14 @@ def aggregate_records(records: Sequence[RunRecord]) -> List[RunRecord]:
     ]
 
 
-def _tridiag(n):
-    """Symmetric tridiagonal (2, -1) matrix; its top eigenvalues cluster, so
-    BB iterations keep moving for a long time — ideal for drift studies."""
-    a = np.zeros((n, n))
-    np.fill_diagonal(a, 2.0)
-    idx = np.arange(n - 1)
-    a[idx, idx + 1] = -1.0
-    a[idx + 1, idx] = -1.0
-    return a
+def _tridiag_mul(x):
+    """A X for the symmetric tridiagonal (2, -1) matrix A, in O(np); its top
+    eigenvalues cluster, so BB iterations keep moving for a long time —
+    ideal for drift studies."""
+    y = 2.0 * x
+    y[:-1] -= x[1:]
+    y[1:] -= x[:-1]
+    return y
 
 
 def drift_demo(n, p, steps, controlled, seed=0) -> List[float]:
@@ -191,7 +190,7 @@ def drift_demo(n, p, steps, controlled, seed=0) -> List[float]:
     problem. Returns one value per completed iteration (empty for steps=0)."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    prob = TraceEigenProblem(_tridiag(n), p)
+    prob = TraceEigenProblem(_tridiag_mul, p, n=n)
     x0 = random_stiefel(n, p, seed)
     cfg = SolverConfig(
         scheme=RetractionScheme("new", "linear", feasibility_control=bool(controlled)),

@@ -68,6 +68,13 @@ def tangent_projection(x, z):
     return z - x @ sym(x.T @ z)
 
 
+def _d_rho(x, g, rho):
+    """D_rho and X^T G for checked n x p arrays; the solver's direction."""
+    xtg = x.T @ g
+    two_rho = 2.0 * rho
+    return g - x @ (two_rho * xtg.T + (1.0 - two_rho) * xtg), xtg
+
+
 def compute_d_rho(x, g, rho: float):
     """Descent direction D_rho = G - X (2 rho G^T X + (1 - 2 rho) X^T G).
 
@@ -79,8 +86,7 @@ def compute_d_rho(x, g, rho: float):
     x = _as_matrix(x, "X")
     g = _as_matrix(g, "G")
     _check_shapes(x, g)
-    xtg = x.T @ g
-    return g - x @ (2.0 * rho * xtg.T + (1.0 - 2.0 * rho) * xtg)
+    return _d_rho(x, g, rho)[0]
 
 
 def optimality_residual(x, g, rho: float) -> float:

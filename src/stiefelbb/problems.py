@@ -353,22 +353,6 @@ class FixedEntrySet:
             for i, j, q in self:
                 fh.write(f"{i} {j} {q:.17g}\n")
 
-    def mask(self, n):
-        """Symmetric 0/1 indicator of the prescribed entries (zero diagonal)."""
-        self._check_n(n)
-        he = np.zeros((n, n))
-        he[self.rows - 1, self.cols - 1] = 1.0
-        he[self.cols - 1, self.rows - 1] = 1.0
-        return he
-
-    def target_matrix(self, n):
-        """Symmetric matrix holding q on the prescribed entries, zero elsewhere."""
-        self._check_n(n)
-        ct = np.zeros((n, n))
-        ct[self.rows - 1, self.cols - 1] = self.values
-        ct[self.cols - 1, self.rows - 1] = self.values
-        return ct
-
     def violation(self, v) -> float:
         """Total constraint violation sum |V_i^T V_j - q_ij| over the set."""
         if len(self) == 0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .manifold import _as_matrix
+from .manifold import _as_matrix, sym
 
 __all__ = [
     "RetractionScheme",
@@ -350,25 +350,26 @@ class GeneralizedConstraint:
         return float(np.linalg.norm(x.T @ (self.h @ x) - self.k))
 
 
+def _generalized_direction(x, g, h):
+    """D = G X^T H^2 X - H X G^T H X on {X^T H X = K}, and H X."""
+    hx = h @ x
+    return g @ (hx.T @ hx) - hx @ (g.T @ hx), hx
+
+
 class _GeneralizedCurve:
     """Y(tau) = (2X + tau W) J^{-1} K - X on {X^T H X = K}.
 
-    D = G X^T H^2 X - H X G^T H X, W = -(I - X K^{-1} X^T H) D,
+    D and H X come from _generalized_direction; W = -(I - X K^{-1} X^T H) D,
     J = K + tau^2/4 W^T H W + g(tau) X^T H D. The X^T H D block is
     evaluated as A - A^T with A = (X^T H G)(X^T H^2 X): this equals the
     literal product in exact arithmetic but stays skew for any X, so
     feasibility error is never fed back through J.
     """
 
-    def __init__(self, x, g, gc, gtau="linear", hx=None, d=None):
+    def __init__(self, x, g, gc, gtau, hx, d):
         h, k = gc.h, gc.k
-        if hx is None:
-            hx = h @ x
         m1 = hx.T @ g
-        m2 = hx.T @ hx
-        m2 = 0.5 * (m2 + m2.T)
-        if d is None:
-            d = g @ m2 - hx @ m1.T
+        m2 = sym(hx.T @ hx)
         self.d = d
         a = m1 @ m2
         xthd = a - a.T
@@ -396,5 +397,6 @@ def retract_generalized(x, g, gc, gtau="linear"):
     feas = gc.feasibility(x)
     if feas > 1e-10 * max(1.0, float(np.linalg.norm(gc.k))):
         raise ValueError(f"X violates X^T H X = K: error {feas:.3e}")
-    return _GeneralizedCurve(x, g, gc, gtau)
+    d, hx = _generalized_direction(x, g, gc.h)
+    return _GeneralizedCurve(x, g, gc, gtau, hx, d)
 

@@ -17,7 +17,7 @@ from typing import List, Optional
 import numpy as np
 import scipy.linalg
 
-from .manifold import feasibility_error, random_stiefel
+from .manifold import _d_rho, feasibility_error, random_stiefel, sym
 from .retractions import (
     GeneralizedConstraint,
     RetractionScheme,
@@ -29,6 +29,7 @@ from .retractions import (
     _PolarCurve,
     _QrCurve,
     _WenYinCurve,
+    _generalized_direction,
     gtau_function,
     qr_positive,
 )
@@ -155,12 +156,9 @@ class _StiefelEngine:
         self.trace_eligible = cfg.scheme.kind == "new"
 
     def direction(self, x, g):
-        """D_rho = G - X (2 rho G^T X + (1 - 2 rho) X^T G); drives the
-        residual test and the secant pairs for every scheme kind."""
-        xtg = x.T @ g
-        two_rho = 2.0 * self.rho
-        d = g - x @ (two_rho * xtg.T + (1.0 - two_rho) * xtg)
-        return d, xtg
+        """D_rho and X^T G; D_rho drives the residual test and the secant
+        pairs for every scheme kind."""
+        return _d_rho(x, g, self.rho)
 
     def curve_and_slope(self, x, g, d, xtg):
         kind = self.scheme.kind
@@ -192,7 +190,7 @@ class _StiefelEngine:
             slope = -float(np.vdot(g, d))
         elif kind == "gp":
             curve = _GpCurve(x, g)
-            e = g - x @ (0.5 * (xtg + xtg.T))
+            e = g - x @ sym(xtg)
             slope = -float(np.vdot(g, e))
         elif kind == "lowrank":
             curve = _LowRankCurve(x, g)
@@ -323,12 +321,10 @@ class _GeneralizedEngine:
         self.k_lower = scipy.linalg.cholesky(gc.k, lower=True)
 
     def direction(self, x, g):
-        hx = self.gc.h @ x
-        d = g @ (hx.T @ hx) - hx @ (g.T @ hx)
-        return d, hx
+        return _generalized_direction(x, g, self.gc.h)
 
     def curve_and_slope(self, x, g, d, hx):
-        curve = _GeneralizedCurve(x, g, self.gc, self.gtau, hx=hx, d=d)
+        curve = _GeneralizedCurve(x, g, self.gc, self.gtau, hx, d)
         slope = -float(np.vdot(g, d))
         return curve, slope
 

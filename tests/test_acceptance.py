@@ -186,7 +186,8 @@ def test_criterion_05_gradient_correctness():
     a = a + a.T
     lam_rng = np.random.default_rng(43)
     fes = sample_fixed_entries(16, 2, seed=44)
-    lam_half = fes.mask(16) * lam_rng.standard_normal((16, 16))
+    lam_half = lam_rng.standard_normal((16, 16))
+    lam = (lam_half + lam_half.T)[fes.rows - 1, fes.cols - 1]
     ex3w = gen_ex3(16, weighted=True, seed=45, r=3)
     problems = [
         (TraceEigenProblem(a, 3), random_stiefel(12, 3, seed=46)),
@@ -194,7 +195,7 @@ def test_criterion_05_gradient_correctness():
         (heterogeneous_problem(10, 3, "random", seed=48), random_stiefel(10, 3, seed=49)),
         (gen_ex2(16, 3), None),
         (ex3w, None),
-        (AugLagSubproblem(ex3w, fes, lam_half + lam_half.T, 3.5), None),
+        (AugLagSubproblem(ex3w, fes, lam, 3.5), None),
     ]
     h = 1e-6
     for prob, x in problems:

@@ -376,6 +376,7 @@ class TestCommandLine:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
         lines = proc.stdout.splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("# iter")

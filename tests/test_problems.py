@@ -338,18 +338,6 @@ class TestFixedEntrySet:
         with pytest.raises(ValueError):
             FixedEntrySet([2, 3], [1], [0.0])  # ragged
 
-    def test_mask_and_target(self):
-        fes = FixedEntrySet([3, 2], [1, 1], [0.5, -0.5])
-        mask = fes.mask(4)
-        target = fes.target_matrix(4)
-        assert np.array_equal(mask, mask.T)
-        assert np.array_equal(target, target.T)
-        assert np.array_equal(np.diag(mask), np.zeros(4))
-        assert mask[2, 0] == 1.0 and mask[1, 0] == 1.0 and mask.sum() == 4.0
-        assert target[2, 0] == 0.5 and target[1, 0] == -0.5
-        with pytest.raises(ValueError):
-            fes.mask(2)
-
     def test_violation_hand_example(self):
         # columns v1 = v2 = e1, v3 = e2; entries (2,1)->0 and (3,1)->0.5
         fes = FixedEntrySet([2, 3], [1, 1], [0.0, 0.5])

@@ -22,7 +22,7 @@ from stiefelbb import (
     solve,
     solve_generalized,
 )
-from stiefelbb.bench import _tridiag
+from stiefelbb.bench import _tridiag_mul
 
 ALL_KINDS = ("new", "polar", "qr", "gp", "wenyin", "geodesic", "lowrank")
 
@@ -211,7 +211,7 @@ class TestReportAccounting:
     def test_f_final_is_value_at_returned_point(self):
         # the literal formulas drift off the manifold, so x_final comes back
         # reorthogonalized and F there is 8.6e-3 from the last accepted value
-        counted = CountingProblem(TraceEigenProblem(_tridiag(200), 6))
+        counted = CountingProblem(TraceEigenProblem(_tridiag_mul, 6, n=200))
         cfg = SolverConfig(
             scheme=RetractionScheme(feasibility_control=False),
             max_iter=3000,
