@@ -15,7 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .problems import FixedEntrySet, LowRankCorrProblem, modified_pca_init
+from .problems import FixedEntrySet, LowRankCorrProblem, _FgProblem, modified_pca_init
 from .retractions import RetractionScheme
 from .solver import SafeguardParams, SolverConfig, SolverReport, solve
 
@@ -85,7 +85,7 @@ class AugLagReport:
         return self.sub_reports[0].f_history[0]
 
 
-class AugLagSubproblem:
+class AugLagSubproblem(_FgProblem):
     """L_mu as a sphere-product problem; lam holds one multiplier per entry
     of fes, in its order. Each evaluation forms one V^T V, gathers the
     pinned entries from it and subtracts C in place; the penalty runs over
@@ -111,26 +111,16 @@ class AugLagSubproblem:
         self._j = fes.cols - 1
         self._t = fes.values + lam / self.mu
 
-    def _gram(self, v):
-        """V, V^T V - C in one buffer, the pinned residuals, and the penalty."""
+    def fg(self, v):
         v = self.base._check(v)
         m = v.T @ v
-        r = m[self._i, self._j] - self._t
+        r = m[self._i, self._j] - self._t  # the pinned residuals
         m -= self.base.c
-        return v, m, r, 0.5 * self.mu * float(np.vdot(r, r))
-
-    def value(self, v) -> float:
-        _, m, _, pen = self._gram(v)
-        m = self.base._weighted(m)
-        return 0.5 * float(np.vdot(m, m)) + pen
-
-    def fg(self, v):
-        v, m, r, pen = self._gram(v)
         f, w = self.base._theta_weights(m)
         half_mu_r = (0.5 * self.mu) * r
         w[self._i, self._j] += half_mu_r
         w[self._j, self._i] += half_mu_r
-        return f + pen, 2.0 * (v @ w)
+        return f + 0.5 * self.mu * float(np.vdot(r, r)), 2.0 * (v @ w)
 
 
 def _sub_config(cfg: AugLagConfig, eps, eps_x, eps_f) -> SolverConfig:

@@ -55,8 +55,6 @@ __all__ = [
 
 ENV_OUT_DIR = "STIEFELBB_OUT_DIR"
 
-CLI_SCHEMES = tuple(k for k in SCHEME_KINDS if k != "generalized")
-
 PROBLEM_IDS = ("eigen", "balogh", "ex2", "ex3", "nlcm", "ex10")
 _PROBLEM_ALIASES = {"heterogeneous": "balogh"}
 
@@ -481,7 +479,7 @@ def _build_parser():
     run.set_defaults(handler=_cmd_run)
     run.add_argument("problem_pos", nargs="?", metavar="PROBLEM",
                      help=f"problem id: {', '.join(PROBLEM_IDS)}")
-    run.add_argument("--scheme", choices=CLI_SCHEMES, default="new")
+    run.add_argument("--scheme", choices=SCHEME_KINDS, default="new")
     run.add_argument("--rho", type=float, default=0.25,
                      help="descent-direction parameter (0.25 Euclidean, 0.5 canonical)")
     run.add_argument("--gtau", choices=GTAU_NAMES)
@@ -563,7 +561,7 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     kinds = _split(args.scheme)
     for k in kinds:
-        if k not in CLI_SCHEMES:
+        if k not in SCHEME_KINDS:
             raise SystemExit(f"error: unknown scheme {k!r}")
     # a --config file may give rho as a number
     rhos = (

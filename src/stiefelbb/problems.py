@@ -1,8 +1,9 @@
 """Objective implementations and generators for the bundled test problems.
 
-Each problem exposes fg(x) -> (value, euclidean_gradient), which the solver
-calls on every line-search trial, value(x) for F alone, a shape for random
-starts, and metadata (name, known_optimum).
+Each problem writes its objective once, in fg(x) -> (value,
+euclidean_gradient), the only method the solver calls. value(x) is F taken
+from fg, for callers that want F alone. Each also has a shape for random
+starts, a manifold tag, and metadata (name, known_optimum).
 """
 
 import warnings
@@ -39,7 +40,15 @@ def _require_symmetric(a, name):
     return a
 
 
-class TraceEigenProblem:
+class _FgProblem:
+    """Base of the bundled problems: F is written once, in the subclass's fg."""
+
+    def value(self, x) -> float:
+        """F alone, taken from fg."""
+        return self.fg(x)[0]
+
+
+class TraceEigenProblem(_FgProblem):
     """F(X) = -tr(X^T A X) on St(n, p): maximize the sum of the p largest
     eigenvalue directions of a symmetric A. Accepts a dense A or a
     matrix-free multiply (callable X -> A X, with n given explicitly)."""
@@ -68,17 +77,13 @@ class TraceEigenProblem:
     def _apply(self, x):
         return self.a @ x if self.a is not None else self._mul(x)
 
-    def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return -float(np.vdot(x, self._apply(x)))
-
     def fg(self, x):
         x = np.asarray(x, dtype=float)
         ax = self._apply(x)
         return -float(np.vdot(x, ax)), -2.0 * ax
 
 
-class HeterogeneousQuadraticProblem:
+class HeterogeneousQuadraticProblem(_FgProblem):
     """F(X) = sum_i X_(i)^T A_i X_(i) with A_i = Diag(n(i-1)+1, ..., l_i, ..., ni):
     consecutive integers except the i-th entry, which holds the planted
     negative value l_i. The minimizers are the signed coordinate selections
@@ -107,10 +112,6 @@ class HeterogeneousQuadraticProblem:
         self.name = "balogh"
         self.known_optimum = float(l.sum())
 
-    def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(np.sum(self.coeff * np.square(x)))
-
     def fg(self, x):
         x = np.asarray(x, dtype=float)
         cx = self.coeff * x
@@ -133,7 +134,7 @@ def heterogeneous_problem(n, p, l_mode="minus-one", seed=None):
     return HeterogeneousQuadraticProblem(n, p, l)
 
 
-class LowRankCorrProblem:
+class LowRankCorrProblem(_FgProblem):
     """theta(V) = 1/2 ||H o (V^T V - C)||_F^2 over unit columns V in R^{r x n}.
 
     h=None selects the all-ones weight fast path. The gradient is
@@ -185,10 +186,6 @@ class LowRankCorrProblem:
         """theta and W = H o H o m (m itself for unit weights); grad = 2 V W."""
         w = self.hsq * m if self.hsq is not None else m
         return 0.5 * float(np.vdot(m, w)), w
-
-    def value(self, v) -> float:
-        m = self._weighted(self.residual_matrix(v))
-        return 0.5 * float(np.vdot(m, m))
 
     def fg(self, v):
         v = self._check(v)

@@ -18,6 +18,9 @@ import scipy.linalg
 from .manifold import _as_matrix, sym
 
 __all__ = [
+    "SCHEME_KINDS",
+    "GTAU_NAMES",
+    "GTAU_SENSITIVE",
     "RetractionScheme",
     "GeneralizedConstraint",
     "retract_new",
@@ -33,11 +36,12 @@ __all__ = [
     "gtau_function",
 ]
 
-SCHEME_KINDS = ("new", "polar", "qr", "gp", "wenyin", "geodesic", "lowrank", "generalized")
+SCHEME_KINDS = ("new", "polar", "qr", "gp", "wenyin", "geodesic", "lowrank")
 GTAU_NAMES = ("linear", "expdamped")
 
-# kinds whose J(tau) contains the g(tau) X^T E term; gtau is ignored elsewhere
-GTAU_SENSITIVE = ("new", "generalized")
+# kinds whose J(tau) contains the g(tau) X^T E term ("new" also on
+# X^T H X = K); gtau is ignored elsewhere
+GTAU_SENSITIVE = ("new",)
 
 
 def _g_linear(tau):

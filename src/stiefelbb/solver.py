@@ -59,16 +59,21 @@ STOP_REASONS = ("ResidualRel", "XtolFtol", "WindowedMeans", "MaxIter", "LineSear
 
 # a starting point further than this from the constraint set is rejected
 START_FEAS_TOL = 1e-6
+# a returned point at or beyond this feasibility error is reorthogonalized
+REORTH_TOL = 1e-14
 
 
 @dataclass
 class SolverConfig:
-    """Tunables of the descent loop; defaults match the recommended setting."""
+    """Tunables of the descent loop; defaults match the recommended setting.
+
+    eps is relative: the loop stops once ||D_rho|| <= eps ||D_rho(x0)||.
+    The returned point is reorthogonalized at the fixed REORTH_TOL.
+    """
 
     rho: float = 0.25
     scheme: RetractionScheme = field(default_factory=RetractionScheme)
     eps: float = 1e-5
-    eps_mode: str = "relative"
     eps_x: float = 1e-5
     eps_f: float = 1e-8
     window_t: int = 5
@@ -76,7 +81,6 @@ class SolverConfig:
     safeguard: SafeguardParams = field(default_factory=SafeguardParams)
     ref_cap: int = 3
     seed: Optional[int] = None
-    reorth_threshold: float = 1e-14
     max_backtracks: int = 60
     check_convergence: bool = True
     track_feasibility: bool = False
@@ -89,8 +93,6 @@ class SolverConfig:
         for name in ("eps", "eps_x", "eps_f"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.eps_mode not in ("relative", "absolute"):
-            raise ValueError("eps_mode must be 'relative' or 'absolute'")
         if self.window_t < 1:
             raise ValueError("window_t must be at least 1")
         if self.max_iter < 0:
@@ -99,8 +101,6 @@ class SolverConfig:
             raise ValueError("ref_cap must be at least 1")
         if self.max_backtracks < 1:
             raise ValueError("max_backtracks must be at least 1")
-        if self.reorth_threshold <= 0.0:
-            raise ValueError("reorth_threshold must be positive")
 
 
 @dataclass
@@ -139,8 +139,6 @@ def _check_finite(f, d_norm, where):
 class _StiefelEngine:
     """Curves and bookkeeping on {X in R^{n x p} : X^T X = I_p}."""
 
-    manifold = "stiefel"
-
     _CURVES = {
         "polar": _PolarCurve,
         "qr": _QrCurve,
@@ -149,11 +147,8 @@ class _StiefelEngine:
     }
 
     def __init__(self, cfg: SolverConfig):
-        if cfg.scheme.kind == "generalized":
-            raise ValueError("use solve_generalized for the X^T H X = K constraint")
         self.scheme = cfg.scheme
         self.rho = cfg.rho
-        self.trace_eligible = cfg.scheme.kind == "new"
 
     def direction(self, x, g):
         """D_rho and X^T G; D_rho drives the residual test and the secant
@@ -252,15 +247,12 @@ class _SphereCurve:
 class _SphereEngine:
     """The same loop on {V in R^{r x n} : every column has unit norm}."""
 
-    manifold = "spheres"
-
     def __init__(self, cfg: SolverConfig):
         if cfg.scheme.kind != "new":
             raise ValueError(
                 "the sphere-product geometry supports only scheme kind 'new'"
             )
         self.scheme = cfg.scheme
-        self.trace_eligible = True
 
     def direction(self, v, g):
         vg = np.einsum("ij,ij->j", v, g)
@@ -308,16 +300,11 @@ class _SphereEngine:
 class _GeneralizedEngine:
     """The loop on {X : X^T H X = K}; BB inner products are taken directly."""
 
-    manifold = "generalized"
-
     def __init__(self, cfg: SolverConfig, gc: GeneralizedConstraint):
-        if cfg.scheme.kind not in ("new", "generalized"):
-            raise ValueError(
-                "the generalized constraint supports only the 'new' scheme family"
-            )
+        if cfg.scheme.kind != "new":
+            raise ValueError("the generalized constraint supports only scheme kind 'new'")
         self.gc = gc
         self.gtau = cfg.scheme.gtau
-        self.trace_eligible = False
         self.k_lower = scipy.linalg.cholesky(gc.k, lower=True)
 
     def direction(self, x, g):
@@ -445,8 +432,7 @@ def iterate_once(state: SolverState) -> SolverState:
 
     # stopping on the gradient residual, then on the iteration budget
     if cfg.check_convergence:
-        thresh = cfg.eps * state.d0_norm if cfg.eps_mode == "relative" else cfg.eps
-        if state.d_norm <= thresh:
+        if state.d_norm <= cfg.eps * state.d0_norm:
             state.done = True
             state.stop_reason = "ResidualRel"
             return state
@@ -492,7 +478,9 @@ def iterate_once(state: SolverState) -> SolverState:
     bb.s_prev = y - state.x
     bb.y_prev = d_new - state.d
     bb.k = state.k + 1
-    bb.trace_jinv = curve.trace_jinv() if eng.trace_eligible else None
+    # curves with a cached J offer the <S,S> = 4p - 4 tr(J^{-1}) shortcut
+    trace_jinv = getattr(curve, "trace_jinv", None)
+    bb.trace_jinv = trace_jinv() if trace_jinv is not None else None
     s_norm_sq = bb.s_dot_s()
 
     f_prev = state.f
@@ -535,10 +523,10 @@ def _run(state: SolverState, t0: float) -> SolverReport:
     eng = state.engine
     x_final, f_final, nfge = state.x, state.f, state.nfge
     feas = eng.feasibility(x_final)
-    if feas >= state.cfg.reorth_threshold:
+    if feas >= REORTH_TOL:
         x_final = eng.reorthogonalize(x_final)
         feas = eng.feasibility(x_final)
-        f_final = float(state.problem.value(x_final))
+        f_final = float(state.problem.fg(x_final)[0])
         nfge += 1
     return SolverReport(
         x_final=x_final,
@@ -559,11 +547,12 @@ def _run(state: SolverState, t0: float) -> SolverReport:
 def solve(problem, x0=None, cfg: Optional[SolverConfig] = None) -> SolverReport:
     """Minimize the problem's objective over its constraint set from x0.
 
-    The problem must expose fg(x) -> (float, ndarray), called at the start
-    and on every line-search trial, and value(x) -> float, called only for
-    f_final at a reorthogonalized returned point. Its `manifold` attribute
+    The problem needs only fg(x) -> (float, ndarray), called at the start,
+    on every line-search trial and once more for f_final at a
+    reorthogonalized returned point. Its optional `manifold` attribute
     selects the geometry ("stiefel" when absent, "spheres" for unit-column
-    products). A non-finite F or gradient raises FloatingPointError.
+    products), and an optional `shape` allows x0=None (a random start). A
+    non-finite F or gradient raises FloatingPointError.
     """
     t0 = time.perf_counter()
     return _run(prepare_state(problem, x0, cfg), t0)

@@ -77,8 +77,10 @@ class TestSchemeDataclass:
         assert s.kind == "new" and s.gtau == "linear" and s.feasibility_control
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            RetractionScheme(kind="cayley")
+        # the constraint, not the kind, selects the X^T H X = K geometry
+        for kind in ("cayley", "generalized"):
+            with pytest.raises(ValueError):
+                RetractionScheme(kind=kind)
 
     def test_unknown_gtau_rejected(self):
         with pytest.raises(ValueError):
