@@ -61,24 +61,40 @@ class AugLagConfig:
 
 @dataclass
 class AugLagReport:
-    """Final factor plus the outer-loop trace."""
+    """Final factor plus the outer-loop trace; nu_final, the outer count and
+    the nfge/iteration totals are read from the traces."""
 
     v_final: np.ndarray
     theta_final: float
     nlcmres_final: float
-    nu_final: float
     nu_trace: List[float]
     mu_trace: List[float]
     lambda_final: np.ndarray  # one multiplier per pinned entry, fes order
-    outer_iters: int
-    nfge_total: int
-    iters_total: int
     sub_reports: List[SolverReport]
     # "NuTarget": nu_final <= nu_target (also the empty entry set);
     # "OuterCap": max_outer steps ran without reaching it
     stop_reason: str
-    hit_outer_cap: bool
     wall_time: float
+
+    @property
+    def nu_final(self) -> float:
+        return self.nu_trace[-1]
+
+    @property
+    def outer_iters(self) -> int:
+        return len(self.sub_reports)
+
+    @property
+    def nfge_total(self) -> int:
+        return sum(r.nfge for r in self.sub_reports)
+
+    @property
+    def iters_total(self) -> int:
+        return sum(r.iters for r in self.sub_reports)
+
+    @property
+    def hit_outer_cap(self) -> bool:
+        return self.stop_reason == "OuterCap"
 
     @property
     def f_initial(self) -> float:
@@ -161,16 +177,11 @@ def auglag_solve(
             v_final=rep.x_final,
             theta_final=rep.f_final,
             nlcmres_final=base.nlcmres(rep.x_final),
-            nu_final=0.0,
             nu_trace=[0.0],
             mu_trace=[cfg.mu0],
             lambda_final=np.zeros(0),
-            outer_iters=1,
-            nfge_total=rep.nfge,
-            iters_total=rep.iters,
             sub_reports=[rep],
             stop_reason="NuTarget",
-            hit_outer_cap=False,
             wall_time=time.perf_counter() - t0,
         )
 
@@ -206,15 +217,10 @@ def auglag_solve(
         v_final=v,
         theta_final=base.value(v),
         nlcmres_final=base.nlcmres(v),
-        nu_final=nu_trace[-1],
         nu_trace=nu_trace,
         mu_trace=mu_trace,
         lambda_final=lam,
-        outer_iters=len(nu_trace),
-        nfge_total=sum(r.nfge for r in sub_reports),
-        iters_total=sum(r.iters for r in sub_reports),
         sub_reports=sub_reports,
         stop_reason=stop_reason,
-        hit_outer_cap=stop_reason == "OuterCap",
         wall_time=time.perf_counter() - t0,
     )

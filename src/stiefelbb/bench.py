@@ -56,7 +56,6 @@ __all__ = [
 ENV_OUT_DIR = "STIEFELBB_OUT_DIR"
 
 PROBLEM_IDS = ("eigen", "balogh", "ex2", "ex3", "nlcm", "ex10")
-_PROBLEM_ALIASES = {"heterogeneous": "balogh"}
 
 # an evaluation count: an int for one solve, possibly fractional for a mean row
 _Count = Union[int, float]
@@ -250,8 +249,6 @@ class _Task:
     seed: int
     cfg: SolverConfig
     fes: Optional[FixedEntrySet] = None
-    auglag_cfg: Optional[AugLagConfig] = None
-    is_corr: bool = False
 
 
 def _solver_config(args, kind, rho, gtau) -> SolverConfig:
@@ -265,76 +262,12 @@ def _solver_config(args, kind, rho, gtau) -> SolverConfig:
     )
 
 
-def _resolve_problem_id(args) -> str:
-    positional = getattr(args, "problem_pos", None)
-    flagged = args.problem
-    if positional and flagged and positional != flagged:
-        raise SystemExit(
-            f"error: conflicting problem ids {positional!r} and {flagged!r}"
-        )
-    pid = positional or flagged
-    if pid is None:
-        raise SystemExit("error: no problem selected (pass an id or --problem)")
-    pid = _PROBLEM_ALIASES.get(pid, pid)
-    if pid not in PROBLEM_IDS:
-        raise SystemExit(
-            f"error: unknown problem {pid!r}; choose from {', '.join(PROBLEM_IDS)}"
-        )
-    return pid
-
-
-def _split(value):
-    return [t for t in str(value).split(",") if t.strip()]
-
-
-def _parse_ranks(args, default):
-    if args.ranks is not None and args.p is not None:
-        raise SystemExit("error: pass either --ranks or --p, not both")
-    if args.ranks is not None:
-        try:
-            ranks = [int(t) for t in _split(args.ranks)]
-        except ValueError:
-            raise SystemExit(f"error: bad --ranks value {args.ranks!r}") from None
-        if not ranks:
-            raise SystemExit("error: empty --ranks list")
-        return ranks
-    if args.p is not None:
-        return [int(args.p)]
-    return [default]
-
-
-def build_tasks(args) -> List[_Task]:
-    """Expand the parsed flags into one task per (problem, rank, repetition)."""
-    pid = _resolve_problem_id(args)
-    if args.gtau is not None and args.scheme not in GTAU_SENSITIVE:
-        print(
-            f"warning: --gtau is ignored by scheme {args.scheme!r}",
-            file=sys.stderr,
-        )
-    fes = FixedEntrySet.from_text(args.fixed_entries) if args.fixed_entries else None
-
-    cfg = _solver_config(args, args.scheme, args.rho, args.gtau or "linear")
-    tasks: List[_Task] = []
-    base_seed = args.seed
-
-    def add(seed, prob, x0, n, p, pins=None, is_corr=False):
-        scfg = replace(cfg, seed=seed)
-        alcfg = None
-        if pins is not None:
-            alcfg = AugLagConfig(rho=args.rho, scheme=scfg.scheme, seed=seed)
-        tasks.append(_Task(pid, prob, x0, n, p, seed, scfg, pins, alcfg, is_corr))
-
-    def corr_tasks(problem_for_rank, default_n, default_rank):
-        n = args.n or default_n
-        for r in _parse_ranks(args, default_rank):
-            prob = problem_for_rank(n, r)
-            pca = modified_pca_init(prob.c, r) if args.init == "pca" else None
-            pins = fes
-            if pins is None and pid == "ex10":
-                pins = sample_fixed_entries(prob.n, n_e=3, seed=base_seed)
-            for rep in range(args.repeat):
-                add(base_seed + rep, prob, pca, prob.n, r, pins, is_corr=True)
-
+def _instances(args, seeds):
+    """The solves the flags select for the given seeds, ranks outer and seeds
+    inner, as (seed, problem, x0, n, p, pins) tuples: x0 None is a seeded
+    random start and pins None the plain solver. Built lazily, one instance
+    per rank (per solve for balogh's random planted values)."""
+    pid = args.problem
     if pid == "eigen":
         n = args.n or 100
         if args.matrix_file:
@@ -342,50 +275,70 @@ def build_tasks(args) -> List[_Task]:
             a = 0.5 * (a + a.T)
             n = a.shape[0]
         else:
-            rng = np.random.default_rng(base_seed)
+            rng = np.random.default_rng(args.seed)
             a = rng.standard_normal((n, n))
             a = (a + a.T) / (2.0 * np.sqrt(n))
-        for p in _parse_ranks(args, 4):
+        for p in args.ranks or [4]:
             prob = TraceEigenProblem(a, p)
-            for rep in range(args.repeat):
-                add(base_seed + rep, prob, None, n, p)
-    elif pid == "balogh":
+            for seed in seeds:
+                yield seed, prob, None, n, p, None
+        return
+    if pid == "balogh":
         n = args.n or 100
-        for p in _parse_ranks(args, 5):
+        for p in args.ranks or [5]:
             shared = (
                 heterogeneous_problem(n, p, "minus-one")
                 if args.l_mode == "minus-one"
                 else None
             )
-            for rep in range(args.repeat):
-                seed = base_seed + rep
+            for seed in seeds:
                 prob = shared or heterogeneous_problem(
                     n, p, "random", seed=100000 + seed
                 )
-                add(seed, prob, None, n, p)
-    elif pid == "ex2":
-        corr_tasks(lambda n, r: gen_ex2(n, r), 500, 5)
-    elif pid == "ex3":
-        corr_tasks(
-            lambda n, r: gen_ex3(n, weighted=args.weighted, seed=base_seed, r=r),
-            500,
-            5,
-        )
-    elif pid == "nlcm":
+                yield seed, prob, None, n, p, None
+        return
+
+    # the low-rank correlation family
+    n = args.n or (200 if pid == "ex10" else 500)
+    if pid == "nlcm":
         if not args.matrix_file:
             raise SystemExit("error: problem 'nlcm' needs --matrix-file")
         c = load_matrix(args.matrix_file)
-        corr_tasks(lambda n, r: LowRankCorrProblem(c, r, name="nlcm"), c.shape[0], 5)
-    elif pid == "ex10":
-        corr_tasks(
-            lambda n, r: LowRankCorrProblem(ex3_matrix(n), r, name="ex10"), 200, 10
+    fes = FixedEntrySet.from_text(args.fixed_entries) if args.fixed_entries else None
+    for r in args.ranks or [10 if pid == "ex10" else 5]:
+        if pid == "ex2":
+            prob = gen_ex2(n, r)
+        elif pid == "ex3":
+            prob = gen_ex3(n, weighted=args.weighted, seed=args.seed, r=r)
+        else:
+            prob = LowRankCorrProblem(c if pid == "nlcm" else ex3_matrix(n), r, name=pid)
+        x0 = modified_pca_init(prob.c, r) if args.init == "pca" else None
+        pins = fes
+        if pins is None and pid == "ex10":
+            pins = sample_fixed_entries(prob.n, n_e=3, seed=args.seed)
+        for seed in seeds:
+            yield seed, prob, x0, prob.n, r, pins
+
+
+def build_tasks(args) -> List[_Task]:
+    """Expand the parsed flags into one task per (problem, rank, repetition)."""
+    if args.gtau is not None and args.scheme not in GTAU_SENSITIVE:
+        print(
+            f"warning: --gtau is ignored by scheme {args.scheme!r}",
+            file=sys.stderr,
         )
-    return tasks
+    cfg = _solver_config(args, args.scheme, args.rho, args.gtau or "linear")
+    seeds = range(args.seed, args.seed + args.repeat)
+    return [
+        _Task(args.problem, prob, x0, n, p, seed, replace(cfg, seed=seed), pins)
+        for seed, prob, x0, n, p, pins in _instances(args, seeds)
+    ]
 
 
 def _run_task(task: _Task) -> RunRecord:
     if task.fes is not None:
-        alr = auglag_solve(task.problem, task.fes, task.auglag_cfg, v0=task.x0)
+        alcfg = AugLagConfig(rho=task.cfg.rho, scheme=task.cfg.scheme, seed=task.seed)
+        alr = auglag_solve(task.problem, task.fes, alcfg, v0=task.x0)
         outcome = dict(
             stop_reason=alr.stop_reason,
             f_initial=alr.f_initial,
@@ -403,7 +356,9 @@ def _run_task(task: _Task) -> RunRecord:
             f_initial=rep.f_initial,
             f_final=rep.f_final,
             residual=(
-                task.problem.nlcmres(rep.x_final) if task.is_corr else rep.residual_final
+                task.problem.nlcmres(rep.x_final)
+                if isinstance(task.problem, LowRankCorrProblem)
+                else rep.residual_final
             ),
             feasi=rep.feasi,
             nfge=rep.nfge,
@@ -423,15 +378,10 @@ def _run_task(task: _Task) -> RunRecord:
 
 
 def run_experiment(args) -> List[RunRecord]:
-    """Execute all tasks for the parsed flags; records in task order followed
-    by the aggregate rows."""
-    tasks = build_tasks(args)
-    jobs = max(1, int(args.jobs or 1))
-    if jobs == 1 or len(tasks) <= 1:
-        records = [_run_task(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_task, tasks))
+    """Execute all tasks for the parsed flags, up to --jobs at once; records
+    in task order followed by the aggregate rows."""
+    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        records = list(pool.map(_run_task, build_tasks(args)))
     return records + aggregate_records(records)
 
 
@@ -439,11 +389,28 @@ def run_experiment(args) -> List[RunRecord]:
 # command line
 
 
+def _comma_list(convert, choices=None):
+    """An argparse type: one value or a comma list of values, each passed
+    through convert and, when choices is given, one of them."""
+
+    def parse(text):
+        try:
+            items = [convert(t) for t in text.split(",") if t.strip()]
+        except ValueError:
+            items = []
+        if not items or (choices and not set(items) <= set(choices)):
+            among = f" from {', '.join(choices)}" if choices else ""
+            raise argparse.ArgumentTypeError(f"expected a comma list{among}, got {text!r}")
+        return items
+
+    return parse
+
+
 def _add_common_flags(p):
-    p.add_argument("--problem", choices=PROBLEM_IDS + tuple(_PROBLEM_ALIASES))
-    p.add_argument("--ranks", help="comma list of ranks / column counts, e.g. 5,20,50")
+    p.add_argument("problem", choices=PROBLEM_IDS)
+    p.add_argument("--ranks", type=_comma_list(int),
+                   help="rank / column count, or a comma list of them, e.g. 5,20,50")
     p.add_argument("--n", type=int, help="problem dimension")
-    p.add_argument("--p", type=int, help="single rank / column count")
     p.add_argument("--eps", type=float, help="relative residual tolerance")
     p.add_argument("--eps-x", dest="eps_x", type=float, help="iterate-change tolerance")
     p.add_argument("--eps-f", dest="eps_f", type=float, help="value-change tolerance")
@@ -471,40 +438,41 @@ def _build_parser():
     parser = argparse.ArgumentParser(
         prog="stiefel-bench",
         description="Benchmark runner for feasible BB optimization over "
-        "orthogonality constraints.",
+        "orthogonality constraints. An argument @FILE reads more arguments "
+        "from FILE, one per line.",
+        fromfile_prefix_chars="@",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command")
 
-    run = sub.add_parser("run", help="solve a problem batch and emit run records")
+    run = sub.add_parser("run", allow_abbrev=False,
+                         help="solve a problem batch and emit run records")
     run.set_defaults(handler=_cmd_run)
-    run.add_argument("problem_pos", nargs="?", metavar="PROBLEM",
-                     help=f"problem id: {', '.join(PROBLEM_IDS)}")
     run.add_argument("--scheme", choices=SCHEME_KINDS, default="new")
     run.add_argument("--rho", type=float, default=0.25,
                      help="descent-direction parameter (0.25 Euclidean, 0.5 canonical)")
     run.add_argument("--gtau", choices=GTAU_NAMES)
-    run.add_argument("--config", help="JSON file of flag defaults")
     _add_common_flags(run)
 
-    comp = sub.add_parser("compare", help="paired comparison across configurations")
+    comp = sub.add_parser("compare", allow_abbrev=False,
+                          help="paired comparison across configurations")
     comp.set_defaults(handler=_cmd_compare)
-    comp.add_argument("problem_pos", nargs="?", metavar="PROBLEM")
-    comp.add_argument("--scheme", default="new",
+    comp.add_argument("--scheme", type=_comma_list(str, SCHEME_KINDS), default="new",
                       help="comma list of scheme kinds (baseline last)")
-    comp.add_argument("--rho", default="0.25",
+    comp.add_argument("--rho", type=_comma_list(float), default="0.25",
                       help="comma list of descent-direction parameters")
-    comp.add_argument("--gtau", help="comma list of g(tau) names")
-    comp.add_argument("--config", help="JSON file of flag defaults")
+    comp.add_argument("--gtau", type=_comma_list(str, GTAU_NAMES), default="linear",
+                      help="comma list of g(tau) names")
     _add_common_flags(comp)
 
-    drift = sub.add_parser("drift", help="feasibility drift: controlled vs plain W")
+    drift = sub.add_parser("drift", allow_abbrev=False,
+                           help="feasibility drift: controlled vs plain W")
     drift.set_defaults(handler=_cmd_drift)
     drift.add_argument("--n", type=int, default=2000)
     drift.add_argument("--p", type=int, default=6)
     drift.add_argument("--steps", type=int, default=2000)
     drift.add_argument("--seed", type=int, default=0)
     drift.add_argument("--out", help="output path (stdout when omitted)")
-    parser.subcommands = sub.choices
     return parser
 
 
@@ -526,25 +494,6 @@ def _output(args, default_name):
         yield fh
 
 
-def _apply_config_file(parser, argv):
-    """Pre-scan for --config and install its JSON contents as defaults on the
-    active subcommand's parser (subparser defaults would otherwise win)."""
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-        else:
-            continue
-        with open(path, "r", encoding="utf-8") as fh:
-            defaults = json.load(fh)
-        if not isinstance(defaults, dict):
-            raise SystemExit(f"error: {path} must hold a JSON object")
-        target = parser.subcommands.get(argv[0], parser) if argv else parser
-        target.set_defaults(**{k.replace("-", "_"): v for k, v in defaults.items()})
-        return
-
-
 def _cmd_run(args) -> int:
     records = run_experiment(args)
     with _output(args, f"stiefelbb-run.{args.format}") as stream:
@@ -559,35 +508,21 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    kinds = _split(args.scheme)
-    for k in kinds:
-        if k not in SCHEME_KINDS:
-            raise SystemExit(f"error: unknown scheme {k!r}")
-    # a --config file may give rho as a number
-    rhos = (
-        [float(t) for t in _split(args.rho)] if isinstance(args.rho, str) else [args.rho]
-    )
-    gtaus = _split(args.gtau) if args.gtau else ["linear"]
-    for g in gtaus:
-        if g not in GTAU_NAMES:
-            raise SystemExit(f"error: unknown gtau {g!r}")
     configs = [
-        _solver_config(args, k, rho, g) for k in kinds for rho in rhos for g in gtaus
+        _solver_config(args, k, rho, g)
+        for k in args.scheme
+        for rho in args.rho
+        for g in args.gtau
     ]
     if len(configs) < 2:
         raise SystemExit(
             "error: need >= 2 configurations (comma lists of --scheme/--rho/--gtau)"
         )
 
-    # reuse the run-task builder for the problem instance (first rank only)
-    base_args = argparse.Namespace(**vars(args))
-    base_args.scheme, base_args.rho, base_args.gtau = kinds[0], rhos[0], None
-    base_args.repeat = 1
-    if args.p is not None:
-        base_args.ranks = None
-    task = build_tasks(base_args)[0]
-    seeds = [args.seed + i for i in range(args.repeat)]
-    rows = compare_schemes(task.problem, configs, seeds, x0=task.x0)
+    # every configuration solves the instance of the first rank and seed
+    _, problem, x0, *_ = next(_instances(args, [args.seed]))
+    seeds = range(args.seed, args.seed + args.repeat)
+    rows = compare_schemes(problem, configs, seeds, x0=x0)
 
     with _output(args, "stiefelbb-compare.jsonl") as stream:
         for row in rows:
@@ -616,11 +551,7 @@ def _cmd_drift(args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    if argv and argv[0] not in parser.subcommands and not argv[0].startswith("-"):
-        argv.insert(0, "run")
-    _apply_config_file(parser, argv)
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()

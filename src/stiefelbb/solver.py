@@ -59,7 +59,10 @@ STOP_REASONS = ("ResidualRel", "XtolFtol", "WindowedMeans", "MaxIter", "LineSear
 
 # a starting point further than this from the constraint set is rejected
 START_FEAS_TOL = 1e-6
-# a returned point at or beyond this feasibility error is reorthogonalized
+# a returned point at or beyond this feasibility error is reorthogonalized;
+# the fixed-entry outer loop starts each sub-solve from the last returned
+# point, and at 1e-13 it needs 28,013 iterations instead of 3,749 on
+# ex3_matrix(200), r = 10, with sample_fixed_entries(200, 3, seed=0)
 REORTH_TOL = 1e-14
 
 

@@ -4,6 +4,7 @@ command-line entry point."""
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from stiefelbb import (
     read_records,
     write_records,
 )
-from stiefelbb.bench import ENV_OUT_DIR, RECORD_FIELDS, main
+from stiefelbb.bench import ENV_OUT_DIR, RECORD_FIELDS, _build_parser, main
 from stiefelbb.retractions import RetractionScheme
 
 
@@ -192,7 +193,7 @@ class TestCommandLine:
     def test_run_eigen_writes_records(self, tmp_path, capsys):
         out = tmp_path / "recs.jsonl"
         code, _, err = self.run_main(
-            ["run", "eigen", "--n", "20", "--p", "2", "--seed", "1",
+            ["run", "eigen", "--n", "20", "--ranks", "2", "--seed", "1",
              "--out", str(out)],
             capsys,
         )
@@ -204,10 +205,10 @@ class TestCommandLine:
         assert recs[0].n == 20 and recs[0].p == 2 and recs[0].seed == 1
         assert recs[1].problem_id == "a.eigen"
 
-    def test_implicit_run_subcommand_and_alias(self, tmp_path, capsys):
+    def test_balogh_planted_optimum(self, tmp_path, capsys):
         out = tmp_path / "recs.jsonl"
         code, _, _ = self.run_main(
-            ["heterogeneous", "--n", "30", "--p", "2", "--out", str(out)],
+            ["run", "balogh", "--n", "30", "--ranks", "2", "--out", str(out)],
             capsys,
         )
         assert code == 0
@@ -218,7 +219,7 @@ class TestCommandLine:
     def test_csv_output_parses_back(self, tmp_path, capsys):
         out = tmp_path / "recs.csv"
         code, _, _ = self.run_main(
-            ["run", "eigen", "--n", "16", "--p", "2", "--format", "csv",
+            ["run", "eigen", "--n", "16", "--ranks", "2", "--format", "csv",
              "--out", str(out)],
             capsys,
         )
@@ -227,9 +228,23 @@ class TestCommandLine:
             recs = read_records(fh, "csv")
         assert len(recs) == 2
 
-    def test_conflicting_problem_ids_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["run", "eigen", "--problem", "balogh"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "eigen", "--problem", "balogh"],
+            ["run", "eigen", "--p", "2"],
+            ["run", "eigen", "--rank", "2"],
+            ["heterogeneous", "--ranks", "2"],
+            ["eigen", "--ranks", "2"],
+            ["run", "eigen", "--config", "c.json"],
+        ],
+        ids=["problem-flag", "p-flag", "ranks-prefix", "alias", "implicit-run",
+             "config-flag"],
+    )
+    def test_dropped_spellings_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_unknown_problem_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -239,14 +254,10 @@ class TestCommandLine:
         with pytest.raises(SystemExit):
             main(["run"])
 
-    def test_ranks_and_p_conflict(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["run", "eigen", "--ranks", "2,3", "--p", "2"])
-
     def test_gtau_warning_on_insensitive_scheme(self, tmp_path, capsys):
         out = tmp_path / "recs.jsonl"
         code, _, err = self.run_main(
-            ["run", "eigen", "--n", "16", "--p", "2", "--scheme", "qr",
+            ["run", "eigen", "--n", "16", "--ranks", "2", "--scheme", "qr",
              "--gtau", "expdamped", "--out", str(out)],
             capsys,
         )
@@ -256,7 +267,7 @@ class TestCommandLine:
     def test_env_out_dir_resolves_relative_paths(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(ENV_OUT_DIR, str(tmp_path))
         code, _, _ = self.run_main(
-            ["run", "eigen", "--n", "16", "--p", "2", "--out", "sub/e.jsonl"],
+            ["run", "eigen", "--n", "16", "--ranks", "2", "--out", "sub/e.jsonl"],
             capsys,
         )
         assert code == 0
@@ -265,34 +276,43 @@ class TestCommandLine:
     def test_env_out_dir_supplies_default_name(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(ENV_OUT_DIR, str(tmp_path))
         code, _, _ = self.run_main(
-            ["run", "eigen", "--n", "16", "--p", "2"], capsys
+            ["run", "eigen", "--n", "16", "--ranks", "2"], capsys
         )
         assert code == 0
         assert (tmp_path / "stiefelbb-run.jsonl").exists()
 
     def test_config_file_defaults(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 16, "p": 2, "seed": 3}))
+        flags = tmp_path / "flags.txt"
+        flags.write_text("--n\n16\n--ranks\n2\n--seed\n3\n")
         out = tmp_path / "recs.jsonl"
         code, _, _ = self.run_main(
-            ["run", "eigen", "--config", str(cfg), "--out", str(out)], capsys
+            ["run", "eigen", f"@{flags}", "--seed", "5", "--out", str(out)], capsys
         )
         assert code == 0
         rec = read_records(str(out), "jsonl")[0]
-        assert rec.n == 16 and rec.p == 2 and rec.seed == 3
+        assert rec.n == 16 and rec.p == 2 and rec.seed == 5
 
-    def test_config_file_must_hold_object(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("[1, 2]")
-        with pytest.raises(SystemExit):
-            main(["run", "eigen", "--config", str(cfg)])
+    def test_readme_examples_parse(self, tmp_path, monkeypatch):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("## Command line")[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [ln for ln in block.splitlines() if ln.startswith("stiefel-bench ")]
+        assert lines
+        monkeypatch.chdir(tmp_path)  # @FILE arguments are read relative to here
+        parser = _build_parser()
+        for line in lines:
+            argv = shlex.split(line, comments=True)[1:]
+            for tok in argv:
+                if tok.startswith("@"):
+                    (tmp_path / tok[1:]).write_text("")
+            assert parser.parse_args(argv).command == argv[0], line
 
     def test_jobs_do_not_change_results(self, tmp_path, capsys):
         outs = []
         for jobs, name in ((1, "a.jsonl"), (2, "b.jsonl")):
             out = tmp_path / name
             code, _, _ = self.run_main(
-                ["run", "eigen", "--n", "20", "--p", "2", "--repeat", "3",
+                ["run", "eigen", "--n", "20", "--ranks", "2", "--repeat", "3",
                  "--jobs", str(jobs), "--out", str(out)],
                 capsys,
             )
@@ -306,7 +326,7 @@ class TestCommandLine:
     def test_compare_command(self, tmp_path, capsys):
         out = tmp_path / "cmp.jsonl"
         code, _, err = self.run_main(
-            ["compare", "eigen", "--n", "16", "--p", "2",
+            ["compare", "eigen", "--n", "16", "--ranks", "2",
              "--scheme", "qr,new", "--repeat", "2", "--out", str(out)],
             capsys,
         )
@@ -319,7 +339,7 @@ class TestCommandLine:
 
     def test_compare_needs_two_configs(self, capsys):
         with pytest.raises(SystemExit):
-            main(["compare", "eigen", "--n", "16", "--p", "2"])
+            main(["compare", "eigen", "--n", "16", "--ranks", "2"])
 
     def test_drift_command(self, tmp_path, capsys):
         out = tmp_path / "drift.tsv"
@@ -357,7 +377,7 @@ class TestCommandLine:
         np.save(mat, a)
         out = tmp_path / "recs.jsonl"
         code, _, _ = self.run_main(
-            ["run", "eigen", "--matrix-file", str(mat), "--p", "2",
+            ["run", "eigen", "--matrix-file", str(mat), "--ranks", "2",
              "--out", str(out)],
             capsys,
         )
