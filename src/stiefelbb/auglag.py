@@ -17,7 +17,7 @@ import numpy as np
 
 from .problems import FixedEntrySet, LowRankCorrProblem, _FgProblem, modified_pca_init
 from .retractions import RetractionScheme
-from .solver import SafeguardParams, SolverConfig, SolverReport, solve
+from .solver import SolverConfig, SolverReport, solve
 
 __all__ = [
     "AugLagConfig",
@@ -26,35 +26,29 @@ __all__ = [
     "auglag_solve",
 ]
 
+# mu_0 and the factor mu grows by per outer step
+MU0 = 1.0
+MU_GROWTH = 10.0
+# sub-solve (eps, eps_x, eps_f): first step, floors, shrink factor per step
+EPS_START = (1e-1, 1e-3, 1e-5)
+EPS_FLOOR = (1e-5, 1e-5, 1e-8)
+SHRINK = 0.1
+# nu_target: the loop ends once nu = sum |v_i^T v_j - q_ij| is at most this
+NU_TARGET = 3e-8
+
 
 @dataclass
 class AugLagConfig:
-    """Outer-loop schedule; defaults follow the recommended setting."""
+    """Outer-loop budget and sub-solve settings; the schedules are the module
+    constants. seed changes nothing, since every sub-solve gets a start."""
 
-    mu0: float = 1.0
-    mu_growth: float = 10.0
-    eps0: float = 1e-1
-    eps_x0: float = 1e-3
-    eps_f0: float = 1e-5
-    eps_floor: float = 1e-5
-    eps_x_floor: float = 1e-5
-    eps_f_floor: float = 1e-8
-    shrink: float = 0.1
     sub_max_iter: int = 2000
-    nu_target: float = 3e-8
     max_outer: int = 30
     rho: float = 0.25
     scheme: RetractionScheme = field(default_factory=RetractionScheme)
-    safeguard: SafeguardParams = field(default_factory=SafeguardParams)
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.mu0 <= 0.0:
-            raise ValueError("mu0 must be positive")
-        if self.mu_growth <= 1.0:
-            raise ValueError("mu_growth must exceed 1")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must lie in (0, 1)")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
 
@@ -71,7 +65,7 @@ class AugLagReport:
     mu_trace: List[float]
     lambda_final: np.ndarray  # one multiplier per pinned entry, fes order
     sub_reports: List[SolverReport]
-    # "NuTarget": nu_final <= nu_target (also the empty entry set);
+    # "NuTarget": nu_final <= NU_TARGET (also the empty entry set);
     # "OuterCap": max_outer steps ran without reaching it
     stop_reason: str
     wall_time: float
@@ -147,8 +141,6 @@ def _sub_config(cfg: AugLagConfig, eps, eps_x, eps_f) -> SolverConfig:
         eps_x=eps_x,
         eps_f=eps_f,
         max_iter=cfg.sub_max_iter,
-        safeguard=cfg.safeguard,
-        seed=cfg.seed,
     )
 
 
@@ -161,34 +153,20 @@ def auglag_solve(
     """Run the outer loop from the modified-PCA start (or a supplied v0).
 
     Stops with "NuTarget" once the violation nu = sum |v_i^T v_j - q_ij| over
-    the pinned entries is at most nu_target, else with "OuterCap" (and
+    the pinned entries is at most NU_TARGET, else with "OuterCap" (and
     hit_outer_cap set) after max_outer steps; a pin set that cannot be met
-    ends there. An empty entry set is one solve of the base problem.
-    wall_time covers the whole call.
+    ends there. An empty entry set is met at once: one solve of the base
+    objective at the floor tolerances EPS_FLOOR. wall_time covers the whole
+    call.
     """
     cfg = AugLagConfig() if cfg is None else cfg
     if v0 is None:
         v0 = modified_pca_init(base.c, base.r)
     t0 = time.perf_counter()
-
-    if len(fes) == 0:
-        rep = solve(base, v0, _sub_config(cfg, cfg.eps_floor, cfg.eps_x_floor, cfg.eps_f_floor))
-        return AugLagReport(
-            v_final=rep.x_final,
-            theta_final=rep.f_final,
-            nlcmres_final=base.nlcmres(rep.x_final),
-            nu_trace=[0.0],
-            mu_trace=[cfg.mu0],
-            lambda_final=np.zeros(0),
-            sub_reports=[rep],
-            stop_reason="NuTarget",
-            wall_time=time.perf_counter() - t0,
-        )
-
     i, j = fes.rows - 1, fes.cols - 1
     lam = np.zeros(len(fes))
-    mu = cfg.mu0
-    eps, eps_x, eps_f = cfg.eps0, cfg.eps_x0, cfg.eps_f0
+    mu = MU0
+    tols = EPS_START if len(fes) else EPS_FLOOR
     v = np.asarray(v0, dtype=float)
     nu_trace: List[float] = []
     mu_trace: List[float] = []
@@ -197,7 +175,7 @@ def auglag_solve(
 
     for _ in range(cfg.max_outer):
         prob = AugLagSubproblem(base, fes, lam, mu)
-        rep = solve(prob, v, _sub_config(cfg, eps, eps_x, eps_f))
+        rep = solve(prob, v, _sub_config(cfg, *tols))
         sub_reports.append(rep)
         v = rep.x_final
         nu = fes.violation(v)
@@ -205,13 +183,11 @@ def auglag_solve(
         mu_trace.append(mu)
         # multiplier update with the just-computed factor
         lam = lam - mu * ((v.T @ v)[i, j] - fes.values)
-        if nu <= cfg.nu_target:
+        if nu <= NU_TARGET:
             stop_reason = "NuTarget"
             break
-        mu *= cfg.mu_growth
-        eps = max(cfg.shrink * eps, cfg.eps_floor)
-        eps_x = max(cfg.shrink * eps_x, cfg.eps_x_floor)
-        eps_f = max(cfg.shrink * eps_f, cfg.eps_f_floor)
+        mu *= MU_GROWTH
+        tols = tuple(max(SHRINK * t, f) for t, f in zip(tols, EPS_FLOOR))
 
     return AugLagReport(
         v_final=v,

@@ -337,7 +337,7 @@ def build_tasks(args) -> List[_Task]:
 
 def _run_task(task: _Task) -> RunRecord:
     if task.fes is not None:
-        alcfg = AugLagConfig(rho=task.cfg.rho, scheme=task.cfg.scheme, seed=task.seed)
+        alcfg = AugLagConfig(rho=task.cfg.rho, scheme=task.cfg.scheme)
         alr = auglag_solve(task.problem, task.fes, alcfg, v0=task.x0)
         outcome = dict(
             stop_reason=alr.stop_reason,
@@ -553,6 +553,12 @@ def _cmd_drift(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "run" and args.init == "random" and (
+        args.problem == "ex10"
+        or (args.fixed_entries and args.problem not in ("eigen", "balogh"))
+    ):
+        parser.error("--init random does not apply to prescribed entries, "
+                     "whose outer loop starts from modified PCA")
     if args.command is None:
         parser.print_help()
         return 0

@@ -332,7 +332,7 @@ def retract_lowrank_column(x, g):
 class GeneralizedConstraint:
     """The feasible set {X : X^T H X = K} with H symmetric PSD and K SPD."""
 
-    __slots__ = ("h", "k", "k_chol")
+    __slots__ = ("h", "k", "k_lower")
 
     def __init__(self, h, k):
         h = _as_matrix(h, "H")
@@ -343,7 +343,8 @@ class GeneralizedConstraint:
         if np.linalg.norm(h - h.T) > 1e-12 * max(1.0, hnorm):
             raise ValueError("H must be symmetric")
         try:
-            self.k_chol = scipy.linalg.cho_factor(k, check_finite=False)
+            # lower Cholesky factor L_K of K = L_K L_K^T
+            self.k_lower = scipy.linalg.cholesky(k, lower=True, check_finite=False)
         except np.linalg.LinAlgError as err:
             raise ValueError("K must be symmetric positive definite") from err
         self.h = h
@@ -377,7 +378,7 @@ class _GeneralizedCurve:
         self.d = d
         a = m1 @ m2
         xthd = a - a.T
-        w = x @ scipy.linalg.cho_solve(gc.k_chol, xthd, check_finite=False) - d
+        w = x @ scipy.linalg.cho_solve((gc.k_lower, True), xthd, check_finite=False) - d
         self.x = x
         self.w = w
         self.k = k

@@ -37,7 +37,6 @@ from .stepsize import (
     BBState,
     LineSearchError,
     ReferenceState,
-    SafeguardParams,
     abb,
     armijo_backtrack,
     safeguard,
@@ -64,6 +63,8 @@ START_FEAS_TOL = 1e-6
 # point, and at 1e-13 it needs 28,013 iterations instead of 3,749 on
 # ex3_matrix(200), r = 10, with sample_fixed_entries(200, 3, seed=0)
 REORTH_TOL = 1e-14
+# T: the windowed-means stop averages the last T iterate and value changes
+WINDOW_T = 5
 
 
 @dataclass
@@ -71,7 +72,9 @@ class SolverConfig:
     """Tunables of the descent loop; defaults match the recommended setting.
 
     eps is relative: the loop stops once ||D_rho|| <= eps ||D_rho(x0)||.
-    The returned point is reorthogonalized at the fixed REORTH_TOL.
+    seed draws the random start when x0 is omitted. The stopping window
+    WINDOW_T, REORTH_TOL for the returned point and the line-search
+    constants of stepsize are fixed.
     """
 
     rho: float = 0.25
@@ -79,31 +82,21 @@ class SolverConfig:
     eps: float = 1e-5
     eps_x: float = 1e-5
     eps_f: float = 1e-8
-    window_t: int = 5
     max_iter: int = 3000
-    safeguard: SafeguardParams = field(default_factory=SafeguardParams)
-    ref_cap: int = 3
     seed: Optional[int] = None
-    max_backtracks: int = 60
     check_convergence: bool = True
     track_feasibility: bool = False
 
     def __post_init__(self):
-        if isinstance(self.scheme, str):
-            self.scheme = RetractionScheme(kind=self.scheme)
+        if not isinstance(self.scheme, RetractionScheme):
+            raise TypeError("scheme must be a RetractionScheme")
         if self.rho <= 0.0:
             raise ValueError("rho must be positive")
         for name in ("eps", "eps_x", "eps_f"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.window_t < 1:
-            raise ValueError("window_t must be at least 1")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
-        if self.ref_cap < 1:
-            raise ValueError("ref_cap must be at least 1")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be at least 1")
 
 
 @dataclass
@@ -308,7 +301,6 @@ class _GeneralizedEngine:
             raise ValueError("the generalized constraint supports only scheme kind 'new'")
         self.gc = gc
         self.gtau = cfg.scheme.gtau
-        self.k_lower = scipy.linalg.cholesky(gc.k, lower=True)
 
     def direction(self, x, g):
         return _generalized_direction(x, g, self.gc.h)
@@ -326,7 +318,7 @@ class _GeneralizedEngine:
         l = scipy.linalg.cholesky(m, lower=True)
         # X L^{-T} L_K^T restores X^T H X = K exactly (up to roundoff)
         z = scipy.linalg.solve_triangular(l, x.T, lower=True)
-        return z.T @ self.k_lower.T
+        return z.T @ self.gc.k_lower.T
 
     def dim_scale(self, x) -> float:
         return math.sqrt(x.shape[0])
@@ -416,10 +408,10 @@ def prepare_state(problem, x0=None, cfg=None, gc=None) -> SolverState:
         d0_norm=d_norm,
         tau1=0.5 / d_norm if d_norm > 0.0 else 1.0,
         bb=BBState(),
-        ref=ReferenceState.fresh(f0, cfg.ref_cap),
+        ref=ReferenceState.fresh(f0),
         f_history=[f0],
-        tolx_win=deque(maxlen=cfg.window_t),
-        tolf_win=deque(maxlen=cfg.window_t),
+        tolx_win=deque(maxlen=WINDOW_T),
+        tolf_win=deque(maxlen=WINDOW_T),
     )
     if cfg.track_feasibility:
         state.feas_trace = [engine.feasibility(x0)]
@@ -450,17 +442,9 @@ def iterate_once(state: SolverState) -> SolverState:
         state.done = True
         state.stop_reason = "LineSearchFail"
         return state
-    sg = cfg.safeguard
     try:
         _, y, f_new, g_new, evals = armijo_backtrack(
-            state.problem.fg,
-            curve,
-            slope,
-            state.tau1,
-            state.ref.f_r,
-            sg.sigma,
-            sg.delta_armijo,
-            cfg.max_backtracks,
+            state.problem.fg, curve, slope, state.tau1, state.ref.f_r
         )
     except LineSearchError as err:
         state.nfge += err.evals
@@ -499,7 +483,7 @@ def iterate_once(state: SolverState) -> SolverState:
         # degenerate secant pair: fall back to the previous safeguarded step
         tau0 = state.tau1
     if d_new_norm > 0.0:
-        state.tau1 = safeguard(tau0, d_new_norm, sg)
+        state.tau1 = safeguard(tau0, d_new_norm)
 
     # diminishing-change tests: pointwise, then windowed means
     tol_x = math.sqrt(max(s_norm_sq, 0.0)) / eng.dim_scale(state.x)

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "BBState",
     "ReferenceState",
-    "SafeguardParams",
     "LineSearchError",
     "bb_long",
     "bb_short",
@@ -29,6 +28,19 @@ __all__ = [
 # denominators smaller than this times the natural scale signal a degenerate
 # secant pair; the caller then reuses the previous safeguarded trial step
 DEGENERATE_REL = 1e-16
+
+# the safeguard band eps_min, eps_max and Delta; tau ||D||_F <= EPS_MAX
+# bounds cond(J) by (5 + EPS_MAX^2)/4
+EPS_MIN = 1e-8
+EPS_MAX = 1e8
+DELTA_CAP = 1e10
+# the backtracking factor sigma, the Armijo constant delta, and the shrinks
+# after the first trial before the line search gives up
+SIGMA = 0.5
+DELTA = 0.001
+MAX_BACKTRACKS = 60
+# L, the non-improving steps after which F_c becomes the reference F_r
+REF_CAP = 3
 
 
 class LineSearchError(RuntimeError):
@@ -93,48 +105,27 @@ def abb(state: BBState) -> Optional[float]:
     return bb_long(state)
 
 
-@dataclass
-class SafeguardParams:
-    """Clamp band and line-search constants. The band keeps
-    tau ||D||_F <= eps_max, which bounds cond(J) by (5 + eps_max^2)/4."""
-
-    eps_min: float = 1e-8
-    eps_max: float = 1e8
-    delta_cap: float = 1e10
-    sigma: float = 0.5
-    delta_armijo: float = 0.001
-
-    def __post_init__(self):
-        if not (0.0 < self.eps_min < self.eps_max):
-            raise ValueError("need 0 < eps_min < eps_max")
-        if not (0.0 < self.sigma < 1.0):
-            raise ValueError("need 0 < sigma < 1")
-        if not (0.0 < self.delta_armijo < 1.0):
-            raise ValueError("need 0 < delta_armijo < 1")
-
-
-def safeguard(tau0: float, d_norm: float, params: SafeguardParams) -> float:
-    """Clamp a trial step into [eps_min/||D||, min(eps_max/||D||, Delta)]."""
+def safeguard(tau0: float, d_norm: float) -> float:
+    """Clamp a trial step into [EPS_MIN/||D||, min(EPS_MAX/||D||, DELTA_CAP)]."""
     if d_norm <= 0.0:
         raise ValueError("safeguard needs ||D|| > 0 (stationary point reached)")
-    lo = params.eps_min / d_norm
-    hi = min(params.eps_max / d_norm, params.delta_cap)
+    lo = EPS_MIN / d_norm
+    hi = min(EPS_MAX / d_norm, DELTA_CAP)
     return max(lo, min(tau0, hi))
 
 
 @dataclass
 class ReferenceState:
-    """The (F_r, F_best, F_c, l, L) quintuple of the adaptive nonmonotone rule."""
+    """The (F_r, F_best, F_c, l) quadruple of the adaptive nonmonotone rule."""
 
     f_r: float = math.inf
     f_best: float = math.inf
     f_c: float = math.inf
     l: int = 0
-    cap_l: int = 3
 
     @classmethod
-    def fresh(cls, f0: float, cap_l: int = 3):
-        return cls(f_r=math.inf, f_best=f0, f_c=f0, l=0, cap_l=cap_l)
+    def fresh(cls, f0: float):
+        return cls(f_r=math.inf, f_best=f0, f_c=f0, l=0)
 
 
 def update_reference(ref: ReferenceState, f_next: float) -> ReferenceState:
@@ -150,15 +141,15 @@ def update_reference(ref: ReferenceState, f_next: float) -> ReferenceState:
     else:
         ref.f_c = max(ref.f_c, f_next)
         ref.l += 1
-        if ref.l == ref.cap_l:
+        if ref.l == REF_CAP:
             ref.f_r = ref.f_c
             ref.f_c = f_next
             ref.l = 0
     return ref
 
 
-def armijo_backtrack(fg_fn, curve, slope, tau1, f_ref, sigma, delta, max_backtracks):
-    """Shrink tau by sigma until F(Y(tau)) <= f_ref + delta tau slope.
+def armijo_backtrack(fg_fn, curve, slope, tau1, f_ref):
+    """Shrink tau by SIGMA until F(Y(tau)) <= f_ref + DELTA tau slope.
 
     fg_fn maps a point to (F, gradient), curve.eval(tau) gives Y(tau), slope
     is the curve's initial slope (negative) and f_ref the reference value F_r.
@@ -171,19 +162,19 @@ def armijo_backtrack(fg_fn, curve, slope, tau1, f_ref, sigma, delta, max_backtra
         raise ValueError(f"line search needs a descent direction, slope = {slope:.3e}")
     tau = tau1
     evals = 0
-    for _ in range(max_backtracks + 1):
+    for _ in range(MAX_BACKTRACKS + 1):
         try:
             y = curve.eval(tau)
         except np.linalg.LinAlgError:
             # a catastrophically large trial step; shrink like a rejection
-            tau *= sigma
+            tau *= SIGMA
             continue
         f_new, g_new = fg_fn(y)
         evals += 1
-        if f_new <= f_ref + delta * tau * slope:
+        if f_new <= f_ref + DELTA * tau * slope:
             return tau, y, f_new, g_new, evals
-        tau *= sigma
+        tau *= SIGMA
     raise LineSearchError(
-        f"no acceptable step within {max_backtracks} backtracks (last tau {tau:.3e})",
+        f"no acceptable step within {MAX_BACKTRACKS} backtracks (last tau {tau:.3e})",
         evals,
     )

@@ -9,6 +9,7 @@ from stiefelbb import (
     FixedEntrySet,
     LowRankCorrProblem,
     SolverConfig,
+    auglag,
     auglag_solve,
     ex3_matrix,
     gen_ex3,
@@ -234,7 +235,7 @@ class TestAugLagSolve:
         assert rep.hit_outer_cap is True
         assert rep.outer_iters == AugLagConfig().max_outer
         assert np.isfinite(rep.theta_final)
-        assert rep.nu_final > AugLagConfig().nu_target
+        assert rep.nu_final > auglag.NU_TARGET
 
     def test_pure_penalty_ladder_monotone(self):
         base = gen_ex3(40, weighted=False, r=5)
@@ -259,12 +260,14 @@ class TestAugLagSolve:
         first = AugLagSubproblem(base, fes, np.zeros(len(fes)), 1.0)
         assert rep.f_initial == first.value(v0)
 
+    def test_defaults(self):
+        cfg = AugLagConfig()
+        assert (cfg.sub_max_iter, cfg.max_outer, cfg.rho) == (2000, 30, 0.25)
+        assert (auglag.MU0, auglag.MU_GROWTH, auglag.SHRINK) == (1.0, 10.0, 0.1)
+        assert auglag.EPS_START == (1e-1, 1e-3, 1e-5)
+        assert auglag.EPS_FLOOR == (1e-5, 1e-5, 1e-8)
+        assert auglag.NU_TARGET == 3e-8
+
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AugLagConfig(mu0=0.0)
-        with pytest.raises(ValueError):
-            AugLagConfig(mu_growth=1.0)
-        with pytest.raises(ValueError):
-            AugLagConfig(shrink=1.0)
         with pytest.raises(ValueError):
             AugLagConfig(max_outer=0)

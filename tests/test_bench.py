@@ -246,6 +246,19 @@ class TestCommandLine:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "args", [["ex10"], ["ex3", "--fixed-entries", "pins.txt"]],
+        ids=["ex10", "fixed-entries"],
+    )
+    def test_random_start_with_pins_is_usage_error(self, args, tmp_path, monkeypatch, capsys):
+        # the fixed-entry outer loop always starts from modified PCA
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pins.txt").write_text("2 1 0.0\n3 1 0.0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *args, "--n", "30", "--ranks", "3", "--init", "random"])
+        assert exc.value.code == 2
+        assert "--init random" in capsys.readouterr().err
+
     def test_unknown_problem_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "bogus"])

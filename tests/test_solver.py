@@ -22,6 +22,8 @@ from stiefelbb import (
     random_stiefel,
     solve,
     solve_generalized,
+    solver,
+    stepsize,
 )
 from stiefelbb.bench import _tridiag_mul
 
@@ -55,11 +57,11 @@ class TestConfig:
         assert cfg.rho == 0.25
         assert cfg.scheme.kind == "new" and cfg.scheme.feasibility_control
         assert cfg.eps == 1e-5 and cfg.eps_x == 1e-5 and cfg.eps_f == 1e-8
-        assert cfg.window_t == 5 and cfg.max_iter == 3000 and cfg.ref_cap == 3
-        assert cfg.safeguard.sigma == 0.5 and cfg.safeguard.delta_armijo == 0.001
-
-    def test_string_scheme_coerced(self):
-        assert SolverConfig(scheme="polar").scheme == RetractionScheme(kind="polar")
+        assert cfg.max_iter == 3000 and cfg.seed is None
+        assert solver.WINDOW_T == 5 and solver.REORTH_TOL == 1e-14
+        assert stepsize.SIGMA == 0.5 and stepsize.DELTA == 0.001
+        assert stepsize.MAX_BACKTRACKS == 60 and stepsize.REF_CAP == 3
+        assert (stepsize.EPS_MIN, stepsize.EPS_MAX, stepsize.DELTA_CAP) == (1e-8, 1e8, 1e10)
 
     def test_validation(self):
         for bad in (
@@ -67,13 +69,12 @@ class TestConfig:
             dict(eps=-1.0),
             dict(eps_x=0.0),
             dict(eps_f=0.0),
-            dict(window_t=0),
             dict(max_iter=-1),
-            dict(ref_cap=0),
-            dict(max_backtracks=0),
         ):
             with pytest.raises(ValueError):
                 SolverConfig(**bad)
+        with pytest.raises(TypeError):
+            SolverConfig(scheme="polar")
 
 
 class TestEigenSolve:
@@ -187,9 +188,10 @@ class TestReportAccounting:
                 return (f if self.fg_calls == 1 else math.nan), g
 
         counted = NanTrials(random_eigen(10, 2, seed=6))
-        rep = solve(counted, random_stiefel(10, 2, seed=6), SolverConfig(max_backtracks=5))
+        rep = solve(counted, random_stiefel(10, 2, seed=6))
         assert rep.stop_reason == "LineSearchFail"
-        assert counted.fg_calls == 7  # the start plus 1 + 5 trials
+        # the start plus the first trial and one per backtrack
+        assert counted.fg_calls == 1 + stepsize.MAX_BACKTRACKS + 1
         assert rep.nfge == counted.fg_calls
 
     def test_f_final_is_value_at_returned_point(self):
@@ -403,7 +405,7 @@ class TestSphereGeometry:
     def test_non_new_scheme_rejected_on_spheres(self):
         prob = self.small_corr_problem()
         with pytest.raises(ValueError):
-            solve(prob, cfg=SolverConfig(scheme="polar"))
+            solve(prob, cfg=SolverConfig(scheme=RetractionScheme(kind="polar")))
 
     def test_uncontrolled_variant_still_descends_from_feasible_start(self):
         prob = self.small_corr_problem(seed=21)

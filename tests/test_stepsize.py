@@ -10,7 +10,6 @@ from stiefelbb import (
     LineSearchError,
     ReferenceState,
     RetractionScheme,
-    SafeguardParams,
     SolverConfig,
     TraceEigenProblem,
     abb,
@@ -23,6 +22,15 @@ from stiefelbb import (
     retract_new,
     safeguard,
     update_reference,
+)
+from stiefelbb.stepsize import (
+    DELTA,
+    DELTA_CAP,
+    EPS_MAX,
+    EPS_MIN,
+    MAX_BACKTRACKS,
+    REF_CAP,
+    SIGMA,
 )
 
 
@@ -101,45 +109,32 @@ class TestABB:
 
 class TestSafeguard:
     def test_value_inside_band_unchanged(self):
-        p = SafeguardParams()
-        assert safeguard(0.37, 1.0, p) == 0.37
+        assert safeguard(0.37, 1.0) == 0.37
 
     def test_upper_clamp(self):
-        p = SafeguardParams()
-        assert safeguard(1e12, 1.0, p) == pytest.approx(1e8)
+        assert safeguard(1e12, 1.0) == pytest.approx(1e8)
 
     def test_lower_clamp_catches_zero_trial(self):
-        p = SafeguardParams()
-        assert safeguard(0.0, 2.0, p) == pytest.approx(5e-9)
+        assert safeguard(0.0, 2.0) == pytest.approx(5e-9)
 
     def test_cap_applies_for_tiny_direction(self):
-        p = SafeguardParams()
         # eps_max / ||D|| = 1e16 exceeds the cap, so Delta wins
-        assert safeguard(1e14, 1e-8, p) == pytest.approx(1e10)
+        assert safeguard(1e14, 1e-8) == pytest.approx(1e10)
 
     def test_band_membership_randomized(self):
-        p = SafeguardParams()
         rng = np.random.default_rng(6)
         for _ in range(200):
             tau0 = float(10.0 ** rng.uniform(-20, 20))
             dn = float(10.0 ** rng.uniform(-10, 10))
-            out = safeguard(tau0, dn, p)
-            lo = p.eps_min / dn
-            hi = min(p.eps_max / dn, p.delta_cap)
+            out = safeguard(tau0, dn)
+            lo = EPS_MIN / dn
+            hi = min(EPS_MAX / dn, DELTA_CAP)
             assert lo <= out <= hi
-            assert out * dn <= p.eps_max * (1.0 + 1e-12)
+            assert out * dn <= EPS_MAX * (1.0 + 1e-12)
 
     def test_stationary_direction_rejected(self):
         with pytest.raises(ValueError):
-            safeguard(1.0, 0.0, SafeguardParams())
-
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            SafeguardParams(eps_min=1.0, eps_max=0.5)
-        with pytest.raises(ValueError):
-            SafeguardParams(sigma=1.5)
-        with pytest.raises(ValueError):
-            SafeguardParams(delta_armijo=0.0)
+            safeguard(1.0, 0.0)
 
 
 class TestReferenceUpdate:
@@ -178,12 +173,7 @@ class TestReferenceUpdate:
         for _ in range(200):
             update_reference(ref, float(rng.standard_normal() * 3.0))
             assert ref.f_r >= ref.f_best
-            assert 0 <= ref.l < ref.cap_l or ref.l == 0
-
-    def test_custom_window_length(self):
-        ref = ReferenceState.fresh(0.0, cap_l=1)
-        update_reference(ref, 5.0)
-        assert ref.f_r == 5.0  # promoted immediately with L = 1
+            assert 0 <= ref.l < REF_CAP
 
 
 def make_problem(n=10, p=3, seed=0):
@@ -199,20 +189,12 @@ def first_step(prob, x, scheme=RetractionScheme()):
     return state, curve, slope
 
 
-def backtrack(prob, curve, slope, tau1, f_ref, max_backtracks=60):
-    params = SafeguardParams()
-    return armijo_backtrack(
-        prob.fg, curve, slope, tau1, f_ref,
-        params.sigma, params.delta_armijo, max_backtracks,
-    )
-
-
 class TestArmijoBacktrack:
     def test_infinite_reference_accepts_first_trial(self):
         prob = make_problem()
         state, curve, slope = first_step(prob, random_stiefel(10, 3, seed=8))
         tau1 = state.tau1
-        tau, y, f_new, g_new, evals = backtrack(prob, curve, slope, tau1, state.ref.f_r)
+        tau, y, f_new, g_new, evals = armijo_backtrack(prob.fg, curve, slope, tau1, state.ref.f_r)
         assert state.ref.f_r == math.inf
         assert evals == 1 and tau == tau1
         assert f_new == pytest.approx(prob.value(y))
@@ -222,11 +204,10 @@ class TestArmijoBacktrack:
         prob = make_problem(seed=1)
         state, curve, slope = first_step(prob, random_stiefel(10, 3, seed=9))
         f0 = state.f  # finite reference forces genuine decrease
-        tau, y, f_new, g_new, evals = backtrack(prob, curve, slope, 1e6, f0)
+        tau, y, f_new, g_new, evals = armijo_backtrack(prob.fg, curve, slope, 1e6, f0)
         assert evals > 1
         # re-check the acceptance inequality with a fresh evaluation
-        delta = SafeguardParams().delta_armijo
-        assert prob.value(y) <= f0 + delta * tau * slope + 1e-12
+        assert prob.value(y) <= f0 + DELTA * tau * slope + 1e-12
 
     def test_quadratic_scale_step_accepted_without_backtracking(self):
         # on F = -tr(X^T A X) a step of the natural 1/||A|| scale passes
@@ -234,7 +215,7 @@ class TestArmijoBacktrack:
         anorm = np.linalg.norm(prob.a, 2)
         state, curve, slope = first_step(prob, random_stiefel(10, 3, seed=10))
         f0 = state.f
-        tau, _, f_new, _, evals = backtrack(prob, curve, slope, 0.25 / anorm, f0)
+        tau, _, f_new, _, evals = armijo_backtrack(prob.fg, curve, slope, 0.25 / anorm, f0)
         assert evals == 1
         assert f_new < f0
 
@@ -246,14 +227,15 @@ class TestArmijoBacktrack:
         # the curve along +D_rho ascends: its initial slope is <G, D_rho> > 0
         ascent = retract_new(x, -d)
         with pytest.raises(ValueError):
-            backtrack(prob, ascent, float(np.vdot(g, d)), 0.1, math.inf)
+            armijo_backtrack(prob.fg, ascent, float(np.vdot(g, d)), 0.1, math.inf)
 
     def test_exhausted_budget_raises(self):
+        # no finite value passes the test against a reference of -inf
         prob = make_problem(seed=4)
         state, curve, slope = first_step(prob, random_stiefel(10, 3, seed=12))
         with pytest.raises(LineSearchError) as err:
-            backtrack(prob, curve, slope, 1e6, state.f, max_backtracks=2)
-        assert err.value.evals == 3
+            armijo_backtrack(prob.fg, curve, slope, 1e6, -math.inf)
+        assert err.value.evals == MAX_BACKTRACKS + 1
 
     def test_failed_curve_evaluations_are_not_counted(self):
         # the first two trials raise LinAlgError before any objective call
@@ -268,12 +250,16 @@ class TestArmijoBacktrack:
                     raise np.linalg.LinAlgError("singular J")
                 return curve.eval(tau)
 
-        tau, _, _, _, evals = backtrack(prob, Fragile(), slope, state.tau1, math.inf)
+        tau, _, _, _, evals = armijo_backtrack(prob.fg, Fragile(), slope, state.tau1, math.inf)
         assert evals == 1
-        assert tau == state.tau1 * SafeguardParams().sigma ** 2
-        calls.clear()
+        assert tau == state.tau1 * SIGMA**2
+
+        class Singular:
+            def eval(self, tau):
+                raise np.linalg.LinAlgError("singular J")
+
         with pytest.raises(LineSearchError) as err:
-            backtrack(prob, Fragile(), slope, state.tau1, math.inf, max_backtracks=1)
+            armijo_backtrack(prob.fg, Singular(), slope, state.tau1, math.inf)
         assert err.value.evals == 0
 
     def test_every_scheme_kind_descends(self):
@@ -282,7 +268,7 @@ class TestArmijoBacktrack:
         for kind in ("new", "polar", "qr", "gp", "wenyin", "geodesic", "lowrank"):
             state, curve, slope = first_step(prob, x, RetractionScheme(kind=kind))
             f0 = state.f
-            tau, y, f_new, g_new, evals = backtrack(prob, curve, slope, state.tau1, f0)
+            tau, y, f_new, g_new, evals = armijo_backtrack(prob.fg, curve, slope, state.tau1, f0)
             assert f_new < f0, kind
             assert f_new == pytest.approx(prob.value(y)), kind
 
@@ -293,6 +279,6 @@ class TestArmijoBacktrack:
         for flag in (True, False):
             scheme = RetractionScheme(kind="new", feasibility_control=flag)
             state, curve, slope = first_step(prob, x, scheme)
-            out[flag] = backtrack(prob, curve, slope, state.tau1, state.ref.f_r)
+            out[flag] = armijo_backtrack(prob.fg, curve, slope, state.tau1, state.ref.f_r)
         assert out[True][0] == out[False][0]
         np.testing.assert_allclose(out[True][1], out[False][1], atol=1e-12)
