@@ -421,7 +421,7 @@ def _add_common_flags(p):
     p.add_argument("--matrix-file", dest="matrix_file",
                    help="MatrixMarket/.npy/text matrix for 'eigen' or 'nlcm'")
     p.add_argument("--fixed-entries", dest="fixed_entries",
-                   help="triplet file 'i j q' of prescribed entries (runs the outer loop)")
+                   help="triplet file 'i j q' of prescribed entries (run ex2/ex3/nlcm/ex10)")
     p.add_argument("--weighted", action="store_true",
                    help="random symmetric weights for the long-range instance")
     p.add_argument("--l-mode", dest="l_mode", choices=("minus-one", "random"),
@@ -553,15 +553,19 @@ def _cmd_drift(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "run" and args.init == "random" and (
-        args.problem == "ex10"
-        or (args.fixed_entries and args.problem not in ("eigen", "balogh"))
-    ):
-        parser.error("--init random does not apply to prescribed entries, "
-                     "whose outer loop starts from modified PCA")
     if args.command is None:
         parser.print_help()
         return 0
+    if args.command != "drift":
+        if args.fixed_entries and args.problem in ("eigen", "balogh"):
+            parser.error(f"--fixed-entries does not apply to problem {args.problem!r}")
+        pinned = args.problem == "ex10" or args.fixed_entries
+        if pinned and args.command == "compare":
+            parser.error("compare runs the plain solver, not the outer loop of "
+                         "prescribed entries; use run")
+        if pinned and args.init == "random":
+            parser.error("--init random does not apply to prescribed entries, "
+                         "whose outer loop starts from modified PCA")
     return args.handler(args)
 
 

@@ -82,19 +82,24 @@ class RetractionScheme:
             raise ValueError(f"unknown gtau {self.gtau!r}, expected one of {GTAU_NAMES}")
 
 
-def _check_lu(lu):
-    d = np.abs(np.diag(lu))
-    if not np.all(np.isfinite(lu)) or d.min() == 0.0:
+def _checked_inv(j):
+    """J^{-1} through numpy's LAPACK; LinAlgError when J is singular (an exact
+    zero pivot) or when J or its inverse is not finite (an overflowing or NaN
+    tau), so the line search shrinks the step without an evaluation."""
+    jinv = np.linalg.inv(j)
+    if not (np.isfinite(j).all() and np.isfinite(jinv).all()):
         raise np.linalg.LinAlgError(
             "J numerically singular; the trial stepsize is catastrophically large"
         )
+    return jinv
 
 
 class _NewCurve:
     """Y(tau) = (2X + tau W) J(tau)^{-1} - X with J = I + tau^2/4 W^T W + g(tau) X^T E.
 
     W and the p x p blocks are tau-independent and cached; each eval costs one
-    p x p assembly, one pivoted solve and one n x p product.
+    p x p assembly, one p x p inverse and one n x p GEMM. The inverse is kept
+    for tr(J^{-1}).
     """
 
     def __init__(self, x, w, xte, gtau):
@@ -103,25 +108,19 @@ class _NewCurve:
         self.xte = xte
         self.wtw = w.T @ w
         self.g = gtau_function(gtau)
-        self._lu = None
+        self._jinv = None
 
     def eval(self, tau):
         p = self.x.shape[1]
         j = np.eye(p) + (0.25 * tau * tau) * self.wtw + self.g(tau) * self.xte
-        lu = scipy.linalg.lu_factor(j, check_finite=False)
-        _check_lu(lu[0])
-        b = 2.0 * self.x + tau * self.w
-        y = scipy.linalg.lu_solve(lu, b.T, trans=1, check_finite=False).T - self.x
-        self._lu = lu
-        return y
+        self._jinv = _checked_inv(j)
+        return (2.0 * self.x + tau * self.w) @ self._jinv - self.x
 
     def trace_jinv(self):
         """tr(J^{-1}) at the last evaluated tau, for the free <S,S> shortcut."""
-        if self._lu is None:
+        if self._jinv is None:
             raise ValueError("curve not evaluated yet")
-        p = self.x.shape[1]
-        t = scipy.linalg.lu_solve(self._lu, np.eye(p), check_finite=False)
-        return float(np.trace(t))
+        return float(np.trace(self._jinv))
 
 
 def retract_new(x, e, gtau="linear"):
@@ -237,7 +236,7 @@ class _WenYinCurve:
     def eval(self, tau):
         p2 = self.vtu.shape[0]
         k = np.eye(p2) + (0.5 * tau) * self.vtu
-        return self.x - tau * (self.u @ scipy.linalg.solve(k, self.vtx, check_finite=False))
+        return self.x - tau * (self.u @ np.linalg.solve(k, self.vtx))
 
 
 def retract_wenyin(x, d):
@@ -364,6 +363,9 @@ def _generalized_direction(x, g, h):
 class _GeneralizedCurve:
     """Y(tau) = (2X + tau W) J^{-1} K - X on {X^T H X = K}.
 
+    Each eval costs one p x p inverse, one p x p product J^{-1} K and one
+    n x p GEMM.
+
     D and H X come from _generalized_direction; W = -(I - X K^{-1} X^T H) D,
     J = K + tau^2/4 W^T H W + g(tau) X^T H D. The X^T H D block is
     evaluated as A - A^T with A = (X^T H G)(X^T H^2 X): this equals the
@@ -388,11 +390,8 @@ class _GeneralizedCurve:
 
     def eval(self, tau):
         j = self.k + (0.25 * tau * tau) * self.wthw + self.g(tau) * self.xthd
-        lu = scipy.linalg.lu_factor(j, check_finite=False)
-        _check_lu(lu[0])
-        b = 2.0 * self.x + tau * self.w
-        t = scipy.linalg.lu_solve(lu, b.T, trans=1, check_finite=False).T
-        return t @ self.k - self.x
+        jinv = _checked_inv(j)
+        return (2.0 * self.x + tau * self.w) @ (jinv @ self.k) - self.x
 
 
 def retract_generalized(x, g, gc, gtau="linear"):

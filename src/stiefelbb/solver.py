@@ -165,8 +165,7 @@ class _StiefelEngine:
                 # (building W-hat from G instead leaves a floor of
                 # eps_mach ||G|| that accumulates over long runs).
                 xte = (2.0 * self.rho) * (xtg - xtg.T)
-                cho = scipy.linalg.cho_factor(x.T @ x, check_finite=False)
-                w = x @ scipy.linalg.cho_solve(cho, x.T @ d, check_finite=False) - d
+                w = x @ np.linalg.solve(x.T @ x, x.T @ d) - d
             else:
                 # plain variant, formulas evaluated as written: both the
                 # projection W = -(I - X X^T) D_rho and the J block X^T D_rho
@@ -495,8 +494,8 @@ def iterate_once(state: SolverState) -> SolverState:
             state.done = True
             state.stop_reason = "XtolFtol"
         elif (
-            float(np.mean(state.tolx_win)) <= 10.0 * cfg.eps_x
-            and float(np.mean(state.tolf_win)) <= 10.0 * cfg.eps_f
+            sum(state.tolx_win) / len(state.tolx_win) <= 10.0 * cfg.eps_x
+            and sum(state.tolf_win) / len(state.tolf_win) <= 10.0 * cfg.eps_f
         ):
             state.done = True
             state.stop_reason = "WindowedMeans"

@@ -259,6 +259,28 @@ class TestCommandLine:
         assert exc.value.code == 2
         assert "--init random" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args", [["ex10"], ["ex3", "--fixed-entries", "pins.txt"]],
+        ids=["ex10", "fixed-entries"],
+    )
+    def test_compare_with_pins_is_usage_error(self, args, tmp_path, monkeypatch, capsys):
+        # compare runs the plain solver, which would drop the pinned entries
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pins.txt").write_text("2 1 0.0\n3 1 0.0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", *args, "--n", "30", "--ranks", "3", "--rho", "0.25,0.5"])
+        assert exc.value.code == 2
+        assert "compare" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("problem", ["eigen", "balogh"])
+    def test_fixed_entries_on_unpinned_problem_is_usage_error(self, command, problem, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, problem, "--n", "20", "--ranks", "2", "--rho", "0.25",
+                  "--fixed-entries", "no-such-file.txt"])
+        assert exc.value.code == 2
+        assert "--fixed-entries" in capsys.readouterr().err
+
     def test_unknown_problem_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "bogus"])

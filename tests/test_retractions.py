@@ -157,15 +157,16 @@ class TestNewScheme:
     def test_trace_jinv_matches_dense_inverse(self):
         x = random_stiefel(7, 3, seed=8)
         d = tangent_dir(x, 9)
-        tau = 0.6 / np.linalg.norm(d)
         curve = retract_new(x, d)
-        curve.eval(tau)
         xtd = x.T @ d
         w = x @ xtd - d
-        j = np.eye(3) + 0.25 * tau * tau * (w.T @ w) + 0.5 * tau * xtd
-        assert curve.trace_jinv() == pytest.approx(
-            np.trace(np.linalg.inv(j)), rel=1e-12
-        )
+        for t in np.geomspace(1e-3, 1e2, 11):
+            tau = t / np.linalg.norm(d)
+            curve.eval(tau)
+            j = np.eye(3) + 0.25 * tau * tau * (w.T @ w) + 0.5 * tau * xtd
+            assert curve.trace_jinv() == pytest.approx(
+                np.trace(np.linalg.inv(j)), rel=1e-14
+            )
 
     def test_expdamped_variant_feasible_and_distinct(self):
         x = random_stiefel(8, 3, seed=10)
@@ -555,6 +556,40 @@ class TestGeneralizedScheme:
             GeneralizedConstraint(np.ones((4, 3)), np.eye(2))  # H not square
 
 
+class TestInverseCurves:
+    """The new and generalized curves evaluate Y through one explicit p x p
+    inverse; they must match the literal transposed solve and keep reporting
+    a singular or overflowing J."""
+
+    @staticmethod
+    def curves():
+        x = random_stiefel(9, 3, seed=60)
+        new = retract_new(x, tangent_dir(x, 61))
+        gc, x0, rng = TestGeneralizedScheme.make_instance(9, 3, 62)
+        gen = retract_generalized(x0, rng.standard_normal((9, 3)), gc)
+        return [
+            (new, lambda tau: np.eye(3) + 0.25 * tau * tau * new.wtw + new.g(tau) * new.xte,
+             np.eye(3), np.linalg.norm(new.w)),
+            (gen, lambda tau: gen.k + 0.25 * tau * tau * gen.wthw + gen.g(tau) * gen.xthd,
+             gen.k, np.linalg.norm(gen.d)),
+        ]
+
+    def test_matches_literal_solve(self):
+        for curve, jmat, k, scale in self.curves():
+            for t in np.geomspace(1e-3, 1e2, 11):
+                tau = t / scale
+                b = 2.0 * curve.x + tau * curve.w
+                ref = np.linalg.solve(jmat(tau).T, b.T).T @ k - curve.x
+                err = np.linalg.norm(curve.eval(tau) - ref)
+                assert err <= 1e-13 * max(1.0, np.linalg.norm(ref)), (type(curve), t)
+
+    @pytest.mark.parametrize("tau", [np.nan, 1e200], ids=["nan", "overflow"])
+    def test_bad_tau_reported_as_singular(self, tau):
+        for curve, *_ in self.curves():
+            with pytest.raises(np.linalg.LinAlgError):
+                curve.eval(tau)
+
+
 class TestReevaluate:
     """One curve object serves a whole backtracking sequence: evaluating it
     at a new tau matches a freshly built curve, whatever was evaluated before."""
@@ -588,10 +623,15 @@ class TestReevaluate:
             np.testing.assert_allclose(again, fresh, atol=1e-13, err_msg=kind)
 
     def test_missing_cache_rejected(self):
-        # tr(J^{-1}) reads the factor cached by the last evaluation
+        # tr(J^{-1}) reads the inverse cached by the last successful evaluation
         x = random_stiefel(8, 3, seed=55)
+        curve = retract_new(x, tangent_dir(x, 56))
         with pytest.raises(ValueError):
-            retract_new(x, tangent_dir(x, 56)).trace_jinv()
+            curve.trace_jinv()
+        with pytest.raises(np.linalg.LinAlgError):
+            curve.eval(1e200)
+        with pytest.raises(ValueError):
+            curve.trace_jinv()
 
 
 class TestCrossSchemeProperties:

@@ -262,6 +262,18 @@ class TestArmijoBacktrack:
             armijo_backtrack(prob.fg, Singular(), slope, state.tau1, math.inf)
         assert err.value.evals == 0
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_tau_shrinks_without_evaluation(self):
+        # tau^2 overflows from 1e160 down to about 1e154: the new curve's J is
+        # not finite there, those trials raise LinAlgError, and the first
+        # finite J is evaluated once and accepted
+        prob = make_problem(seed=7)
+        state, curve, slope = first_step(prob, random_stiefel(10, 3, seed=16))
+        tau, y, f_new, _, evals = armijo_backtrack(prob.fg, curve, slope, 1e160, math.inf)
+        assert evals == 1
+        assert tau < 1e155
+        assert math.isfinite(f_new) and np.all(np.isfinite(y))
+
     def test_every_scheme_kind_descends(self):
         prob = make_problem(seed=5)
         x = random_stiefel(10, 3, seed=13)
