@@ -15,7 +15,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from .problems import FixedEntrySet, LowRankCorrProblem, _FgProblem, modified_pca_init
+from .problems import (
+    FixedEntrySet,
+    LowRankCorrProblem,
+    _FgProblem,
+    _gram,
+    modified_pca_init,
+)
 from .retractions import RetractionScheme
 from .solver import SolverConfig, SolverReport, solve
 
@@ -97,9 +103,11 @@ class AugLagReport:
 
 class AugLagSubproblem(_FgProblem):
     """L_mu as a sphere-product problem; lam holds one multiplier per entry
-    of fes, in its order. Each evaluation forms one V^T V, gathers the
-    pinned entries from it and subtracts C in place; the penalty runs over
-    the index list of the entry set."""
+    of fes, in its order. Each evaluation forms one V^T V (the base
+    objective's Gram), gathers the pinned entries from it through flat
+    indices and subtracts C in place; the penalty is scattered into both
+    triangles of the weight matrix the same way. Each gather or scatter
+    touches an entry at most once, since FixedEntrySet has no duplicates."""
 
     manifold = "spheres"
 
@@ -116,20 +124,23 @@ class AugLagSubproblem(_FgProblem):
         lam = np.asarray(lam, dtype=float)
         if lam.shape != (len(fes),):
             raise ValueError(f"lam must have shape ({len(fes)},), got {lam.shape}")
-        # 0-based strict-lower (i, j) and the targets q + lam/mu there
-        self._i = fes.rows - 1
-        self._j = fes.cols - 1
+        # flat row-major positions of the 0-based strict-lower (i, j) and of
+        # its mirror (j, i), and the targets q + lam/mu there
+        i, j = fes.rows - 1, fes.cols - 1
+        self._ij = i * base.n + j
+        self._ji = j * base.n + i
         self._t = fes.values + lam / self.mu
 
     def fg(self, v):
         v = self.base._check(v)
-        m = v.T @ v
-        r = m[self._i, self._j] - self._t  # the pinned residuals
+        m = _gram(v)
+        r = m.reshape(-1)[self._ij] - self._t  # the pinned residuals
         m -= self.base.c
         f, w = self.base._theta_weights(m)
         half_mu_r = (0.5 * self.mu) * r
-        w[self._i, self._j] += half_mu_r
-        w[self._j, self._i] += half_mu_r
+        wflat = w.reshape(-1)  # a view: w is a fresh C-ordered n x n array
+        wflat[self._ij] += half_mu_r
+        wflat[self._ji] += half_mu_r
         return f + 0.5 * self.mu * float(np.vdot(r, r)), 2.0 * (v @ w)
 
 
@@ -182,7 +193,7 @@ def auglag_solve(
         nu_trace.append(nu)
         mu_trace.append(mu)
         # multiplier update with the just-computed factor
-        lam = lam - mu * ((v.T @ v)[i, j] - fes.values)
+        lam = lam - mu * (_gram(v)[i, j] - fes.values)
         if nu <= NU_TARGET:
             stop_reason = "NuTarget"
             break

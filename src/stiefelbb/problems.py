@@ -40,6 +40,12 @@ def _require_symmetric(a, name):
     return a
 
 
+def _gram(v):
+    """V^T V as a fresh C-ordered array."""
+    # v.T @ v takes numpy's syrk path, whose strided triangle copy costs more than gemm on a copy
+    return v.T @ v.copy()
+
+
 class _FgProblem:
     """Base of the bundled problems: F is written once, in the subclass's fg."""
 
@@ -170,9 +176,10 @@ class LowRankCorrProblem(_FgProblem):
         return v
 
     def residual_matrix(self, v):
-        """V^T V - C, formed in the buffer of V^T V."""
+        """V^T V - C, formed in place in the Gram buffer of _gram (one GEMM;
+        AugLagSubproblem forms its V^T V the same way)."""
         v = self._check(v)
-        m = v.T @ v
+        m = _gram(v)
         m -= self.c
         return m
 

@@ -82,15 +82,29 @@ class RetractionScheme:
             raise ValueError(f"unknown gtau {self.gtau!r}, expected one of {GTAU_NAMES}")
 
 
-def _checked_inv(j):
-    """J^{-1} through numpy's LAPACK; LinAlgError when J is singular (an exact
-    zero pivot) or when J or its inverse is not finite (an overflowing or NaN
-    tau), so the line search shrinks the step without an evaluation."""
-    jinv = np.linalg.inv(j)
-    if not (np.isfinite(j).all() and np.isfinite(jinv).all()):
+def _entry_max(*blocks):
+    """The largest |entry| of each block, the bounds of _checked_jinv."""
+    return tuple(float(np.abs(m).max()) for m in blocks)
+
+
+def _checked_jinv(k, m1, m2, bounds, tau, g):
+    """J^{-1} for J = K + tau^2/4 M1 + g(tau) M2, through numpy's LAPACK.
+
+    Raises LinAlgError, so that the line search shrinks the step without an
+    evaluation, when J would not be finite (an overflowing or NaN tau), when
+    J is singular (an exact zero pivot) or when J^{-1} is not finite. The
+    first test runs before J is formed, in Python floats, which overflow
+    without a warning: with bounds = (max|K|, max|M1|, max|M2|) the same sum
+    bounds every entry of J.
+    """
+    a, b = 0.25 * tau * tau, g(tau)
+    if not bounds[0] + a * bounds[1] + abs(b) * bounds[2] < math.inf:
         raise np.linalg.LinAlgError(
-            "J numerically singular; the trial stepsize is catastrophically large"
+            "J not finite; the trial stepsize is catastrophically large"
         )
+    jinv = np.linalg.inv(k + a * m1 + b * m2)
+    if not np.isfinite(jinv).all():
+        raise np.linalg.LinAlgError("J numerically singular")
     return jinv
 
 
@@ -108,12 +122,12 @@ class _NewCurve:
         self.xte = xte
         self.wtw = w.T @ w
         self.g = gtau_function(gtau)
+        self._bounds = (1.0,) + _entry_max(self.wtw, xte)
         self._jinv = None
 
     def eval(self, tau):
         p = self.x.shape[1]
-        j = np.eye(p) + (0.25 * tau * tau) * self.wtw + self.g(tau) * self.xte
-        self._jinv = _checked_inv(j)
+        self._jinv = _checked_jinv(np.eye(p), self.wtw, self.xte, self._bounds, tau, self.g)
         return (2.0 * self.x + tau * self.w) @ self._jinv - self.x
 
     def trace_jinv(self):
@@ -387,10 +401,10 @@ class _GeneralizedCurve:
         self.wthw = w.T @ (h @ w)
         self.xthd = xthd
         self.g = gtau_function(gtau)
+        self._bounds = _entry_max(k, self.wthw, xthd)
 
     def eval(self, tau):
-        j = self.k + (0.25 * tau * tau) * self.wthw + self.g(tau) * self.xthd
-        jinv = _checked_inv(j)
+        jinv = _checked_jinv(self.k, self.wthw, self.xthd, self._bounds, tau, self.g)
         return (2.0 * self.x + tau * self.w) @ (jinv @ self.k) - self.x
 
 

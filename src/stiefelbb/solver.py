@@ -227,7 +227,7 @@ class _SphereCurve:
         j = 1.0 + (0.25 * tau * tau) * self.wsq
         if self.vtd is not None:
             j = j + gtau_function(self.gtau)(tau) * self.vtd
-        if not np.all(np.isfinite(j)) or np.any(j == 0.0):
+        if not np.isfinite(j).all() or (j == 0.0).any():
             raise np.linalg.LinAlgError("diagonal J numerically singular")
         y = (2.0 * self.v + tau * self.w) / j - self.v
         self._j = j
@@ -236,7 +236,7 @@ class _SphereCurve:
     def trace_jinv(self) -> float:
         if self._j is None:
             raise ValueError("curve not evaluated yet")
-        return float(np.sum(1.0 / self._j))
+        return float((1.0 / self._j).sum())
 
 
 class _SphereEngine:

@@ -20,6 +20,7 @@ from stiefelbb import (
     sample_fixed_entries,
     save_matrix_market,
 )
+from stiefelbb.problems import _gram
 
 
 def fd_gradient_check(problem, x, seed, n_dirs=5, h=1e-6, tol=1e-5):
@@ -188,7 +189,9 @@ class TestLowRankCorr:
             np.sqrt(2.0 * prob.value(v)), rel=1e-12
         )
         m = prob.residual_matrix(v)
-        np.testing.assert_allclose(m, v.T @ v - prob.c, rtol=0, atol=0)
+        # the program forms V^T V by GEMM, which differs from v.T @ v (syrk)
+        # in the last bits at this size
+        np.testing.assert_allclose(m, _gram(v) - prob.c, rtol=0, atol=0)
 
     def test_metadata_and_shape(self):
         prob = gen_ex2(40, 5)

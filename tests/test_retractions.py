@@ -26,6 +26,7 @@ from stiefelbb import (
     retract_wenyin,
     tangent_projection,
 )
+from stiefelbb.solver import _SphereEngine
 
 
 def tangent_dir(x, seed, rho=0.25):
@@ -583,9 +584,19 @@ class TestInverseCurves:
                 err = np.linalg.norm(curve.eval(tau) - ref)
                 assert err <= 1e-13 * max(1.0, np.linalg.norm(ref)), (type(curve), t)
 
+    @staticmethod
+    def sphere_curve():
+        rng = np.random.default_rng(63)
+        v = rng.standard_normal((3, 9))
+        v /= np.linalg.norm(v, axis=0)
+        g = rng.standard_normal((3, 9))
+        engine = _SphereEngine(SolverConfig())
+        d, vg = engine.direction(v, g)
+        return engine.curve_and_slope(v, g, d, vg)[0]
+
     @pytest.mark.parametrize("tau", [np.nan, 1e200], ids=["nan", "overflow"])
     def test_bad_tau_reported_as_singular(self, tau):
-        for curve, *_ in self.curves():
+        for curve in [c for c, *_ in self.curves()] + [self.sphere_curve()]:
             with pytest.raises(np.linalg.LinAlgError):
                 curve.eval(tau)
 

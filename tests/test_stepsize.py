@@ -1,6 +1,7 @@
 """BB stepsizes, alternation, safeguard clamp, and the nonmonotone search."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -266,10 +267,13 @@ class TestArmijoBacktrack:
     def test_overflowing_tau_shrinks_without_evaluation(self):
         # tau^2 overflows from 1e160 down to about 1e154: the new curve's J is
         # not finite there, those trials raise LinAlgError, and the first
-        # finite J is evaluated once and accepted
+        # finite J is evaluated once and accepted; the refused trials are
+        # handled, so none of them warns
         prob = make_problem(seed=7)
         state, curve, slope = first_step(prob, random_stiefel(10, 3, seed=16))
-        tau, y, f_new, _, evals = armijo_backtrack(prob.fg, curve, slope, 1e160, math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tau, y, f_new, _, evals = armijo_backtrack(prob.fg, curve, slope, 1e160, math.inf)
         assert evals == 1
         assert tau < 1e155
         assert math.isfinite(f_new) and np.all(np.isfinite(y))
