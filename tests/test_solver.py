@@ -385,7 +385,6 @@ class TestKnownOptimumProblem:
         assert abs(rep.f_final - (-5.0)) / 5.0 <= 1e-5
         assert rep.feasi <= 1e-13
 
-
     @pytest.mark.xfail(
         strict=True,
         reason="stops at XtolFtol after 6 iterations, F = 32643: negative "

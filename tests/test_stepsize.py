@@ -265,10 +265,10 @@ class TestArmijoBacktrack:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_tau_shrinks_without_evaluation(self):
-        # tau^2 overflows from 1e160 down to about 1e154: the new curve's J is
-        # not finite there, those trials raise LinAlgError, and the first
-        # finite J is evaluated once and accepted; the refused trials are
-        # handled, so none of them warns
+        # tau^2 overflows from 1e160 down to about 1e154: the new curve's J
+        # would not be finite there, those trials raise LinAlgError before J
+        # is formed, so none of them warns, and the first finite J is
+        # evaluated once and accepted
         prob = make_problem(seed=7)
         state, curve, slope = first_step(prob, random_stiefel(10, 3, seed=16))
         with warnings.catch_warnings():
