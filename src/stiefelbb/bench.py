@@ -19,7 +19,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -239,18 +239,6 @@ def compare_schemes(problem, configs, seeds, x0=None) -> List[dict]:
 # experiment assembly
 
 
-@dataclass
-class _Task:
-    problem_id: str
-    problem: object
-    x0: Optional[np.ndarray]
-    n: int
-    p: int
-    seed: int
-    cfg: SolverConfig
-    fes: Optional[FixedEntrySet] = None
-
-
 def _solver_config(args, kind, rho, gtau) -> SolverConfig:
     """The solver settings of one configuration; the tolerance flags left
     unset keep the SolverConfig defaults."""
@@ -320,25 +308,12 @@ def _instances(args, seeds):
             yield seed, prob, x0, prob.n, r, pins
 
 
-def build_tasks(args) -> List[_Task]:
-    """Expand the parsed flags into one task per (problem, rank, repetition)."""
-    if args.gtau is not None and args.scheme not in GTAU_SENSITIVE:
-        print(
-            f"warning: --gtau is ignored by scheme {args.scheme!r}",
-            file=sys.stderr,
-        )
-    cfg = _solver_config(args, args.scheme, args.rho, args.gtau or "linear")
-    seeds = range(args.seed, args.seed + args.repeat)
-    return [
-        _Task(args.problem, prob, x0, n, p, seed, replace(cfg, seed=seed), pins)
-        for seed, prob, x0, n, p, pins in _instances(args, seeds)
-    ]
-
-
-def _run_task(task: _Task) -> RunRecord:
-    if task.fes is not None:
-        alcfg = AugLagConfig(rho=task.cfg.rho, scheme=task.cfg.scheme)
-        alr = auglag_solve(task.problem, task.fes, alcfg, v0=task.x0)
+def _record(args, cfg, seed, problem, x0, n, p, pins) -> RunRecord:
+    """Solve one instance of `_instances` with cfg at seed and record it."""
+    cfg = replace(cfg, seed=seed)
+    if pins is not None:
+        alcfg = AugLagConfig(rho=cfg.rho, scheme=cfg.scheme)
+        alr = auglag_solve(problem, pins, alcfg, v0=x0)
         outcome = dict(
             stop_reason=alr.stop_reason,
             f_initial=alr.f_initial,
@@ -350,14 +325,14 @@ def _run_task(task: _Task) -> RunRecord:
             wall_ms=alr.wall_time * 1000.0,
         )
     else:
-        rep = solve(task.problem, task.x0, task.cfg)
+        rep = solve(problem, x0, cfg)
         outcome = dict(
             stop_reason=rep.stop_reason,
             f_initial=rep.f_initial,
             f_final=rep.f_final,
             residual=(
-                task.problem.nlcmres(rep.x_final)
-                if isinstance(task.problem, LowRankCorrProblem)
+                problem.nlcmres(rep.x_final)
+                if isinstance(problem, LowRankCorrProblem)
                 else rep.residual_final
             ),
             feasi=rep.feasi,
@@ -366,22 +341,27 @@ def _run_task(task: _Task) -> RunRecord:
             wall_ms=rep.wall_time * 1000.0,
         )
     return RunRecord(
-        problem_id=task.problem_id,
-        n=task.n,
-        p=task.p,
-        scheme=task.cfg.scheme.kind,
-        rho=task.cfg.rho,
-        gtau=task.cfg.scheme.gtau,
-        seed=task.seed,
+        problem_id=args.problem,
+        n=n,
+        p=p,
+        scheme=cfg.scheme.kind,
+        rho=cfg.rho,
+        gtau=cfg.scheme.gtau,
+        seed=seed,
         **outcome,
     )
 
 
 def run_experiment(args) -> List[RunRecord]:
-    """Execute all tasks for the parsed flags, up to --jobs at once; records
-    in task order followed by the aggregate rows."""
+    """Solve every instance the parsed flags select, one per (problem, rank,
+    repetition) and up to --jobs at once; records in instance order followed
+    by the aggregate rows."""
+    if args.gtau is not None and args.scheme not in GTAU_SENSITIVE:
+        print(f"warning: --gtau is ignored by scheme {args.scheme!r}", file=sys.stderr)
+    cfg = _solver_config(args, args.scheme, args.rho, args.gtau or "linear")
+    seeds = range(args.seed, args.seed + args.repeat)
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        records = list(pool.map(_run_task, build_tasks(args)))
+        records = list(pool.map(lambda i: _record(args, cfg, *i), _instances(args, seeds)))
     return records + aggregate_records(records)
 
 

@@ -17,6 +17,7 @@ __all__ = [
     "optimality_residual",
     "sym",
     "skew",
+    "qr_positive",
     "random_stiefel",
 ]
 
@@ -94,11 +95,17 @@ def optimality_residual(x, g, rho: float) -> float:
     return float(np.linalg.norm(compute_d_rho(x, g, rho)))
 
 
+def qr_positive(a, require_full_rank=True):
+    """Thin QR factorization with the positive-diagonal convention on R."""
+    q, r = np.linalg.qr(a)
+    diag = np.diag(r)
+    if require_full_rank and np.min(np.abs(diag)) <= 1e-12 * max(1.0, np.max(np.abs(diag))):
+        raise np.linalg.LinAlgError("matrix is rank-deficient, QR factor not unique")
+    s = np.where(diag < 0, -1.0, 1.0)
+    return q * s, r * s[:, None]
+
+
 def random_stiefel(n: int, p: int, seed: Optional[int] = None) -> np.ndarray:
     """Random feasible point: Q factor of an n x p standard Gaussian matrix."""
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, p))
-    q, r = np.linalg.qr(a)
-    # fix the sign convention so the draw is unique given the Gaussian sample
-    q = q * np.sign(np.where(np.diag(r) == 0, 1.0, np.diag(r)))
-    return np.asfortranarray(q)
+    a = np.random.default_rng(seed).standard_normal((n, p))
+    return np.asfortranarray(qr_positive(a, require_full_rank=False)[0])

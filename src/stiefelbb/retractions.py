@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .manifold import _as_matrix, sym
+from .manifold import _as_matrix, qr_positive, sym
 
 __all__ = [
     "SCHEME_KINDS",
@@ -31,12 +31,10 @@ __all__ = [
     "retract_geodesic",
     "retract_lowrank_column",
     "retract_generalized",
-    "qr_positive",
     "polar_project",
     "gtau_function",
 ]
 
-SCHEME_KINDS = ("new", "polar", "qr", "gp", "wenyin", "geodesic", "lowrank")
 GTAU_NAMES = ("linear", "expdamped")
 
 # kinds whose J(tau) contains the g(tau) X^T E term ("new" also on
@@ -63,28 +61,17 @@ def gtau_function(name):
         raise ValueError(f"unknown gtau {name!r}, expected one of {GTAU_NAMES}") from None
 
 
-@dataclass(frozen=True)
-class RetractionScheme:
-    """A scheme family member: kind, g(tau) choice, and feasibility control.
-
-    feasibility_control selects the drift-safe W-hat construction inside the
-    solver loop; it has no effect on kinds other than "new".
-    """
-
-    kind: str = "new"
-    gtau: str = "linear"
-    feasibility_control: bool = True
-
-    def __post_init__(self):
-        if self.kind not in SCHEME_KINDS:
-            raise ValueError(f"unknown scheme kind {self.kind!r}, expected one of {SCHEME_KINDS}")
-        if self.gtau not in GTAU_NAMES:
-            raise ValueError(f"unknown gtau {self.gtau!r}, expected one of {GTAU_NAMES}")
-
-
 def _entry_max(*blocks):
     """The largest |entry| of each block, the bounds of _checked_jinv."""
     return tuple(float(np.abs(m).max()) for m in blocks)
+
+
+def _checked_pair(x, d, name):
+    """X and the direction called `name`, coerced, with the shape of X."""
+    x, d = _as_matrix(x, "X"), _as_matrix(d, name)
+    if x.shape != d.shape:
+        raise ValueError(f"shape mismatch: X {x.shape}, {name} {d.shape}")
+    return x, d
 
 
 def _checked_jinv(k, m1, m2, bounds, tau, g):
@@ -150,10 +137,7 @@ def retract_new(x, e, gtau="linear"):
     gtau : {"linear", "expdamped"}
         The g(tau) term in J: tau/2 or tau*exp(-tau)/2.
     """
-    x = _as_matrix(x, "X")
-    e = _as_matrix(e, "E")
-    if x.shape != e.shape:
-        raise ValueError(f"shape mismatch: X {x.shape}, E {e.shape}")
+    x, e = _checked_pair(x, e, "E")
     xte = x.T @ e
     viol = np.linalg.norm(xte + xte.T)
     if viol > 1e-6 * max(1.0, np.linalg.norm(e)):
@@ -180,19 +164,7 @@ class _PolarCurve:
 
 def retract_polar(x, d):
     """Polar scheme: Y = (X - tau D)(I + tau^2 D^T D)^{-1/2} for tangent D."""
-    x = _as_matrix(x, "X")
-    d = _as_matrix(d, "D")
-    return _PolarCurve(x, d)
-
-
-def qr_positive(a, require_full_rank=True):
-    """Thin QR factorization with the positive-diagonal convention on R."""
-    q, r = np.linalg.qr(a)
-    diag = np.diag(r)
-    if require_full_rank and np.min(np.abs(diag)) <= 1e-12 * max(1.0, np.max(np.abs(diag))):
-        raise np.linalg.LinAlgError("matrix is rank-deficient, QR factor not unique")
-    s = np.where(diag < 0, -1.0, 1.0)
-    return q * s, r * s[:, None]
+    return _PolarCurve(*_checked_pair(x, d, "D"))
 
 
 class _QrCurve:
@@ -207,9 +179,7 @@ class _QrCurve:
 
 def retract_qr(x, d):
     """QR scheme: Y = Q factor of X - tau D with positive-diagonal R."""
-    x = _as_matrix(x, "X")
-    d = _as_matrix(d, "D")
-    return _QrCurve(x, d)
+    return _QrCurve(*_checked_pair(x, d, "D"))
 
 
 def polar_project(a):
@@ -221,9 +191,15 @@ def polar_project(a):
 
 
 class _GpCurve:
-    def __init__(self, x, g):
+    """Y(tau) = P_St(X - tau G), leaving X with velocity -(G - X sym(X^T G))."""
+
+    follows_g = True  # built from G and X^T G, not from D_rho
+
+    def __init__(self, x, g, xtg=None):
+        xtg = x.T @ g if xtg is None else xtg
         self.x = x
         self.g = g
+        self.slope_inner = float(np.vdot(g, g - x @ sym(xtg)))  # <G, E>
 
     def eval(self, tau):
         return polar_project(self.x - tau * self.g)
@@ -231,9 +207,7 @@ class _GpCurve:
 
 def retract_gradproj(x, g):
     """Gradient projection scheme: Y = P_St(X - tau G)."""
-    x = _as_matrix(x, "X")
-    g = _as_matrix(g, "G")
-    return _GpCurve(x, g)
+    return _GpCurve(*_checked_pair(x, g, "G"))
 
 
 class _WenYinCurve:
@@ -256,9 +230,7 @@ class _WenYinCurve:
 def retract_wenyin(x, d):
     """Wen-Yin scheme; equals the new scheme with g = tau/2 whenever its
     2p x 2p system is well conditioned."""
-    x = _as_matrix(x, "X")
-    d = _as_matrix(d, "D")
-    return _WenYinCurve(x, d)
+    return _WenYinCurve(*_checked_pair(x, d, "D"))
 
 
 class _GeodesicCurve:
@@ -279,9 +251,7 @@ class _GeodesicCurve:
 
 def retract_geodesic(x, d):
     """Geodesic scheme through the exponential of a 2p x 2p skew matrix."""
-    x = _as_matrix(x, "X")
-    d = _as_matrix(d, "D")
-    return _GeodesicCurve(x, d)
+    return _GeodesicCurve(*_checked_pair(x, d, "D"))
 
 
 class _LowRankCurve:
@@ -291,8 +261,10 @@ class _LowRankCurve:
     smallest index. Evaluation costs O(np) beyond the one-time X^T G product.
     """
 
-    def __init__(self, x, g):
-        xtg = x.T @ g
+    follows_g = True  # built from G and X^T G, not from D_rho
+
+    def __init__(self, x, g, xtg=None):
+        xtg = x.T @ g if xtg is None else xtg
         gtx = xtg.T
         gcol_sq = np.einsum("ij,ij->j", g, g)
         diag_gnf = gcol_sq - np.einsum("ij,ji->i", gtx, gtx)
@@ -335,11 +307,39 @@ class _LowRankCurve:
 
 def retract_lowrank_column(x, g):
     """Single-column rank-2 scheme of the framework, J inverted analytically."""
-    x = _as_matrix(x, "X")
-    g = _as_matrix(g, "G")
-    if x.shape != g.shape:
-        raise ValueError(f"shape mismatch: X {x.shape}, G {g.shape}")
-    return _LowRankCurve(x, g)
+    return _LowRankCurve(*_checked_pair(x, g, "G"))
+
+
+# the curve class of each Stiefel kind but "new" (whose two W variants the
+# solver's engine builds itself); SCHEME_KINDS keeps this order
+_CURVES = {
+    "polar": _PolarCurve,
+    "qr": _QrCurve,
+    "gp": _GpCurve,
+    "wenyin": _WenYinCurve,
+    "geodesic": _GeodesicCurve,
+    "lowrank": _LowRankCurve,
+}
+SCHEME_KINDS = ("new", *_CURVES)
+
+
+@dataclass(frozen=True)
+class RetractionScheme:
+    """A scheme family member: kind, g(tau) choice, and feasibility control.
+
+    feasibility_control selects the drift-safe W-hat construction inside the
+    solver loop; it has no effect on kinds other than "new".
+    """
+
+    kind: str = "new"
+    gtau: str = "linear"
+    feasibility_control: bool = True
+
+    def __post_init__(self):
+        if self.kind not in SCHEME_KINDS:
+            raise ValueError(f"unknown scheme kind {self.kind!r}, expected one of {SCHEME_KINDS}")
+        if self.gtau not in GTAU_NAMES:
+            raise ValueError(f"unknown gtau {self.gtau!r}, expected one of {GTAU_NAMES}")
 
 
 class GeneralizedConstraint:
@@ -410,8 +410,7 @@ class _GeneralizedCurve:
 
 def retract_generalized(x, g, gc, gtau="linear"):
     """Generalized-constraint scheme; preserves X^T H X = K along the curve."""
-    x = _as_matrix(x, "X")
-    g = _as_matrix(g, "G")
+    x, g = _checked_pair(x, g, "G")
     feas = gc.feasibility(x)
     if feas > 1e-10 * max(1.0, float(np.linalg.norm(gc.k))):
         raise ValueError(f"X violates X^T H X = K: error {feas:.3e}")

@@ -17,21 +17,15 @@ from typing import List, Optional
 import numpy as np
 import scipy.linalg
 
-from .manifold import _d_rho, feasibility_error, random_stiefel, sym
+from .manifold import _d_rho, feasibility_error, qr_positive, random_stiefel
 from .retractions import (
+    _CURVES,
     GeneralizedConstraint,
     RetractionScheme,
     _GeneralizedCurve,
-    _GeodesicCurve,
-    _GpCurve,
-    _LowRankCurve,
     _NewCurve,
-    _PolarCurve,
-    _QrCurve,
-    _WenYinCurve,
     _generalized_direction,
     gtau_function,
-    qr_positive,
 )
 from .stepsize import (
     BBState,
@@ -135,13 +129,6 @@ def _check_finite(f, d_norm, where):
 class _StiefelEngine:
     """Curves and bookkeeping on {X in R^{n x p} : X^T X = I_p}."""
 
-    _CURVES = {
-        "polar": _PolarCurve,
-        "qr": _QrCurve,
-        "wenyin": _WenYinCurve,
-        "geodesic": _GeodesicCurve,
-    }
-
     def __init__(self, cfg: SolverConfig):
         self.scheme = cfg.scheme
         self.rho = cfg.rho
@@ -152,6 +139,9 @@ class _StiefelEngine:
         return _d_rho(x, g, self.rho)
 
     def curve_and_slope(self, x, g, d, xtg):
+        """The curve of the configured kind and its slope at tau = 0: -<G, D>
+        for the curves that leave X along -D_rho, -slope_inner for those
+        built from G."""
         kind = self.scheme.kind
         if kind == "new":
             if self.scheme.feasibility_control:
@@ -177,18 +167,12 @@ class _StiefelEngine:
                 xte = xtd
                 w = x @ xtd - d
             curve = _NewCurve(x, w, xte, self.scheme.gtau)
-            slope = -float(np.vdot(g, d))
-        elif kind == "gp":
-            curve = _GpCurve(x, g)
-            e = g - x @ sym(xtg)
-            slope = -float(np.vdot(g, e))
-        elif kind == "lowrank":
-            curve = _LowRankCurve(x, g)
-            slope = -curve.slope_inner
+        elif getattr(_CURVES[kind], "follows_g", False):
+            curve = _CURVES[kind](x, g, xtg)
+            return curve, -curve.slope_inner
         else:
-            curve = self._CURVES[kind](x, d)
-            slope = -float(np.vdot(g, d))
-        return curve, slope
+            curve = _CURVES[kind](x, d)
+        return curve, -float(np.vdot(g, d))
 
     def feasibility(self, x) -> float:
         return feasibility_error(x)
@@ -243,10 +227,6 @@ class _SphereEngine:
     """The same loop on {V in R^{r x n} : every column has unit norm}."""
 
     def __init__(self, cfg: SolverConfig):
-        if cfg.scheme.kind != "new":
-            raise ValueError(
-                "the sphere-product geometry supports only scheme kind 'new'"
-            )
         self.scheme = cfg.scheme
 
     def direction(self, v, g):
@@ -296,8 +276,6 @@ class _GeneralizedEngine:
     """The loop on {X : X^T H X = K}; BB inner products are taken directly."""
 
     def __init__(self, cfg: SolverConfig, gc: GeneralizedConstraint):
-        if cfg.scheme.kind != "new":
-            raise ValueError("the generalized constraint supports only scheme kind 'new'")
         self.gc = gc
         self.gtau = cfg.scheme.gtau
 
@@ -359,14 +337,15 @@ class SolverState:
 
 
 def _make_engine(problem, cfg, gc):
-    if gc is not None:
-        return _GeneralizedEngine(cfg, gc)
-    manifold = getattr(problem, "manifold", "stiefel")
+    manifold = "generalized" if gc is not None else getattr(problem, "manifold", "stiefel")
     if manifold == "stiefel":
         return _StiefelEngine(cfg)
-    if manifold == "spheres":
-        return _SphereEngine(cfg)
-    raise ValueError(f"unknown problem manifold {manifold!r}")
+    if manifold not in ("spheres", "generalized"):
+        raise ValueError(f"unknown problem manifold {manifold!r}")
+    # the curves of the other kinds are built for X^T X = I_p only
+    if cfg.scheme.kind != "new":
+        raise ValueError(f"the {manifold!r} geometry supports only scheme kind 'new'")
+    return _SphereEngine(cfg) if manifold == "spheres" else _GeneralizedEngine(cfg, gc)
 
 
 def prepare_state(problem, x0=None, cfg=None, gc=None) -> SolverState:

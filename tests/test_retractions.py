@@ -26,7 +26,7 @@ from stiefelbb import (
     retract_wenyin,
     tangent_projection,
 )
-from stiefelbb.solver import _SphereEngine
+from stiefelbb.solver import _SphereEngine, _StiefelEngine
 
 
 def tangent_dir(x, seed, rho=0.25):
@@ -688,3 +688,39 @@ class TestCrossSchemeProperties:
             # each tenfold decrease in h cuts the error by at least ~5x
             assert errs[1] <= errs[0] / 5.0, kind
             assert errs[2] <= errs[1] / 5.0, kind
+
+
+BUILDERS = {
+    "new": retract_new,
+    "polar": retract_polar,
+    "qr": retract_qr,
+    "gradproj": retract_gradproj,
+    "wenyin": retract_wenyin,
+    "geodesic": retract_geodesic,
+    "lowrank_column": retract_lowrank_column,
+    "generalized": lambda x, d: retract_generalized(
+        x, d, GeneralizedConstraint(np.eye(x.shape[0]), np.eye(x.shape[1]))
+    ),
+}
+
+
+class TestBuilderInputs:
+    @pytest.mark.parametrize("name", BUILDERS)
+    @pytest.mark.parametrize("shape", [(1, 3), (8, 2)], ids=["rows", "cols"])
+    def test_direction_of_another_shape_rejected(self, name, shape):
+        x = random_stiefel(8, 3, seed=70)
+        d = np.random.default_rng(71).standard_normal(shape)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            BUILDERS[name](x, d)
+
+    @pytest.mark.parametrize("kind", ["gp", "lowrank"])
+    def test_engine_slope_is_the_builder_curve_slope(self, kind):
+        # the solver's slope of a curve built from G is the curve's own
+        # -<G, E>, whether the engine or the public builder forms X^T G
+        x = random_stiefel(9, 3, seed=72)
+        g = np.asfortranarray(np.random.default_rng(73).standard_normal((9, 3)))
+        engine = _StiefelEngine(SolverConfig(scheme=RetractionScheme(kind)))
+        d, xtg = engine.direction(x, g)
+        _, slope = engine.curve_and_slope(x, g, d, xtg)
+        assert slope == -scheme_curve(kind, x, g).slope_inner
+        assert slope < 0.0
