@@ -539,6 +539,9 @@ def main(argv=None) -> int:
     if args.command != "drift":
         if args.fixed_entries and args.problem in ("eigen", "balogh"):
             parser.error(f"--fixed-entries does not apply to problem {args.problem!r}")
+        schemes = args.scheme if args.command == "compare" else [args.scheme]
+        if args.problem not in ("eigen", "balogh") and set(schemes) != {"new"}:
+            parser.error(f"problem {args.problem!r} (unit spheres) takes only --scheme new")
         pinned = args.problem == "ex10" or args.fixed_entries
         if pinned and args.command == "compare":
             parser.error("compare runs the plain solver, not the outer loop of "

@@ -1,8 +1,11 @@
 """Dense primitives for the Stiefel manifold St(n, p) = {X : X^T X = I_p}.
 
-Conventions: points and directions are n x p numpy arrays with n >= p,
-stored column-major. A direction E is tangent at X when X^T E is
-skew-symmetric. The Euclidean gradient of the objective at X is written G.
+Conventions: points and directions are n x p numpy arrays with n >= p.
+Checked inputs, random points and the solver's Stiefel starts and
+reorthogonalized points are column-major (a start's layout alone changes the
+roundoff of the iterates); the solver's curve evaluations are C-ordered. A
+direction E is tangent at X when X^T E is skew-symmetric. The Euclidean
+gradient of the objective at X is written G.
 """
 
 from typing import Optional
@@ -48,25 +51,12 @@ def feasibility_error(x) -> float:
     return float(np.linalg.norm(x.T @ x - np.eye(p)))
 
 
-def _check_shapes(x, g):
-    if x.shape != g.shape:
-        raise ValueError(f"point shape {x.shape} != gradient shape {g.shape}")
-
-
-def canonical_gradient(x, g):
-    """Gradient under the canonical metric: G - X G^T X."""
-    x = _as_matrix(x, "X")
-    g = _as_matrix(g, "G")
-    _check_shapes(x, g)
-    return g - x @ (g.T @ x)
-
-
-def tangent_projection(x, z):
-    """Project Z onto the tangent space at X: Z - X sym(X^T Z)."""
-    x = _as_matrix(x, "X")
-    z = _as_matrix(z, "Z")
-    _check_shapes(x, z)
-    return z - x @ sym(x.T @ z)
+def _checked_pair(x, d, name):
+    """X and the direction called `name`, coerced, with the shape of X."""
+    x, d = _as_matrix(x, "X"), _as_matrix(d, name)
+    if x.shape != d.shape:
+        raise ValueError(f"shape mismatch: X {x.shape}, {name} {d.shape}")
+    return x, d
 
 
 def _d_rho(x, g, rho):
@@ -74,6 +64,16 @@ def _d_rho(x, g, rho):
     xtg = x.T @ g
     two_rho = 2.0 * rho
     return g - x @ (two_rho * xtg.T + (1.0 - two_rho) * xtg), xtg
+
+
+def canonical_gradient(x, g):
+    """Gradient under the canonical metric: G - X G^T X, i.e. D_rho at rho = 1/2."""
+    return _d_rho(*_checked_pair(x, g, "G"), 0.5)[0]
+
+
+def tangent_projection(x, z):
+    """Project Z onto the tangent space at X: Z - X sym(X^T Z), i.e. D_rho at rho = 1/4."""
+    return _d_rho(*_checked_pair(x, z, "Z"), 0.25)[0]
 
 
 def compute_d_rho(x, g, rho: float):
@@ -84,10 +84,7 @@ def compute_d_rho(x, g, rho: float):
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    x = _as_matrix(x, "X")
-    g = _as_matrix(g, "G")
-    _check_shapes(x, g)
-    return _d_rho(x, g, rho)[0]
+    return _d_rho(*_checked_pair(x, g, "G"), rho)[0]
 
 
 def optimality_residual(x, g, rho: float) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .manifold import _as_matrix, qr_positive, sym
+from .manifold import _as_matrix, _checked_pair, qr_positive, sym
 
 __all__ = [
     "SCHEME_KINDS",
@@ -64,14 +64,6 @@ def gtau_function(name):
 def _entry_max(*blocks):
     """The largest |entry| of each block, the bounds of _checked_jinv."""
     return tuple(float(np.abs(m).max()) for m in blocks)
-
-
-def _checked_pair(x, d, name):
-    """X and the direction called `name`, coerced, with the shape of X."""
-    x, d = _as_matrix(x, "X"), _as_matrix(d, name)
-    if x.shape != d.shape:
-        raise ValueError(f"shape mismatch: X {x.shape}, {name} {d.shape}")
-    return x, d
 
 
 def _checked_jinv(k, m1, m2, bounds, tau, g):
@@ -328,7 +320,9 @@ class RetractionScheme:
     """A scheme family member: kind, g(tau) choice, and feasibility control.
 
     feasibility_control selects the drift-safe W-hat construction inside the
-    solver loop; it has no effect on kinds other than "new".
+    solver loop; it has no effect on kinds other than "new". The sphere
+    geometry honours it; the generalized geometry has only the drift-safe
+    curve and rejects feasibility_control=False.
     """
 
     kind: str = "new"

@@ -17,7 +17,7 @@ from typing import List, Optional
 import numpy as np
 import scipy.linalg
 
-from .manifold import _d_rho, feasibility_error, qr_positive, random_stiefel
+from .manifold import _d_rho, feasibility_error, qr_positive
 from .retractions import (
     _CURVES,
     GeneralizedConstraint,
@@ -178,14 +178,11 @@ class _StiefelEngine:
         return feasibility_error(x)
 
     def reorthogonalize(self, x):
-        return qr_positive(x)[0]
+        # column-major like random_stiefel: the layout alone moves the roundoff
+        return np.asfortranarray(qr_positive(x)[0])
 
     def dim_scale(self, x) -> float:
         return math.sqrt(x.shape[0])
-
-    def random_start(self, shape, seed):
-        n, p = shape
-        return random_stiefel(n, p, seed)
 
 
 class _SphereCurve:
@@ -260,17 +257,6 @@ class _SphereEngine:
     def dim_scale(self, v) -> float:
         return math.sqrt(v.shape[1])
 
-    def random_start(self, shape, seed):
-        r, n = shape
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal((r, n))
-        norms = np.linalg.norm(v, axis=0)
-        bad = norms == 0.0
-        if np.any(bad):
-            v[0, bad] = 1.0
-            norms[bad] = 1.0
-        return v / norms
-
 
 class _GeneralizedEngine:
     """The loop on {X : X^T H X = K}; BB inner products are taken directly."""
@@ -299,11 +285,6 @@ class _GeneralizedEngine:
 
     def dim_scale(self, x) -> float:
         return math.sqrt(x.shape[0])
-
-    def random_start(self, shape, seed):
-        n, p = shape
-        rng = np.random.default_rng(seed)
-        return self.reorthogonalize(rng.standard_normal((n, p)))
 
 
 @dataclass
@@ -345,6 +326,8 @@ def _make_engine(problem, cfg, gc):
     # the curves of the other kinds are built for X^T X = I_p only
     if cfg.scheme.kind != "new":
         raise ValueError(f"the {manifold!r} geometry supports only scheme kind 'new'")
+    if manifold == "generalized" and not cfg.scheme.feasibility_control:
+        raise ValueError("the 'generalized' curve is built only with feasibility_control=True")
     return _SphereEngine(cfg) if manifold == "spheres" else _GeneralizedEngine(cfg, gc)
 
 
@@ -356,7 +339,7 @@ def prepare_state(problem, x0=None, cfg=None, gc=None) -> SolverState:
         shape = getattr(problem, "shape", None)
         if shape is None:
             raise ValueError("need x0 or a problem exposing .shape for a random start")
-        x0 = engine.random_start(shape, cfg.seed)
+        x0 = engine.reorthogonalize(np.random.default_rng(cfg.seed).standard_normal(shape))
     else:
         x0 = np.array(np.asarray(x0), dtype=float, copy=True)
         if gc is not None:

@@ -281,6 +281,23 @@ class TestCommandLine:
         assert exc.value.code == 2
         assert "--fixed-entries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "ex2", "--scheme", "lowrank"],
+            ["run", "ex10", "--scheme", "qr"],
+            ["compare", "ex3", "--scheme", "new,polar"],
+            ["compare", "nlcm", "--scheme", "gp", "--rho", "0.25,0.5"],
+        ],
+        ids=["run-ex2", "run-ex10", "compare-ex3", "compare-nlcm"],
+    )
+    def test_non_new_scheme_on_sphere_problem_is_usage_error(self, argv, capsys):
+        # the correlation problems run on unit spheres, where only 'new' is built
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--n", "60", "--ranks", "3"])
+        assert exc.value.code == 2
+        assert "--scheme new" in capsys.readouterr().err
+
     def test_unknown_problem_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "bogus"])

@@ -275,10 +275,33 @@ class TestDeterminism:
         assert a.nfge == b.nfge and a.iters == b.iters
         assert a.stop_reason == b.stop_reason
 
-    def test_seeded_random_start_is_reproducible(self):
-        prob = random_eigen(25, 3, seed=12)
-        a = solve(prob, cfg=SolverConfig(seed=5))
-        b = solve(prob, cfg=SolverConfig(seed=5))
+    @pytest.mark.parametrize("geometry", ["stiefel", "spheres", "generalized"])
+    def test_seeded_random_start_is_reproducible(self, geometry):
+        # a random start is the geometry's projection of one seeded Gaussian draw
+        cfg = SolverConfig(seed=5)
+        gc = None
+        if geometry == "stiefel":
+            prob = random_eigen(25, 3, seed=12)
+            expected = random_stiefel(25, 3, seed=5)
+        elif geometry == "spheres":
+            prob = TestSphereGeometry.small_corr_problem(seed=12)
+            draw = np.random.default_rng(5).standard_normal(prob.shape)
+            expected = draw / np.linalg.norm(draw, axis=0)
+        else:
+            prob = random_eigen(25, 3, seed=12)
+            gc = GeneralizedConstraint(TestGeneralizedSolve.spd(25, 12), np.eye(3))
+            draw = np.random.default_rng(5).standard_normal(prob.shape)
+            expected = solver._GeneralizedEngine(cfg, gc).reorthogonalize(draw)
+            assert gc.feasibility(expected) <= 1e-12
+        x = prepare_state(prob, None, cfg, gc=gc).x
+        np.testing.assert_array_equal(x, expected)
+        if geometry == "stiefel":
+            # the start's layout alone changes the roundoff of the iterates
+            assert x.flags.f_contiguous
+        if gc is None:
+            a, b = solve(prob, cfg=cfg), solve(prob, cfg=cfg)
+        else:
+            a, b = (solve_generalized(prob, None, gc, cfg) for _ in range(2))
         assert a.f_history == b.f_history
 
 
@@ -478,6 +501,14 @@ class TestGeneralizedSolve:
         prob = random_eigen(6, 2, seed=25)
         with pytest.raises(TypeError):
             solve_generalized(prob, random_stiefel(6, 2, seed=25), np.eye(6))
+
+    def test_uncontrolled_variant_rejected(self):
+        # the generalized curve exists only in its drift-safe construction
+        prob = random_eigen(6, 2, seed=27)
+        gc = GeneralizedConstraint(np.eye(6), np.eye(2))
+        scheme = RetractionScheme(feasibility_control=False)
+        with pytest.raises(ValueError, match="feasibility_control"):
+            solve_generalized(prob, random_stiefel(6, 2, seed=27), gc, SolverConfig(scheme=scheme))
 
     def test_infeasible_start_projected_then_solved(self):
         n, p = 10, 2
