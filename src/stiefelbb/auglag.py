@@ -10,7 +10,7 @@ the subproblem tolerances on a capped geometric schedule.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -22,7 +22,6 @@ from .problems import (
     _gram,
     modified_pca_init,
 )
-from .retractions import RetractionScheme
 from .solver import SolverConfig, SolverReport, solve
 
 __all__ = [
@@ -45,13 +44,13 @@ NU_TARGET = 3e-8
 
 @dataclass
 class AugLagConfig:
-    """Outer-loop budget and sub-solve settings; the schedules are the module
-    constants. seed changes nothing, since every sub-solve gets a start."""
+    """Outer-loop and sub-solve budgets; the schedules are the module
+    constants. The sub-solves run the sphere geometry's one curve, on which
+    rho and g(tau) do not act. seed changes nothing, since every sub-solve
+    gets a start."""
 
     sub_max_iter: int = 2000
     max_outer: int = 30
-    rho: float = 0.25
-    scheme: RetractionScheme = field(default_factory=RetractionScheme)
     seed: Optional[int] = None
 
     def __post_init__(self):
@@ -145,14 +144,7 @@ class AugLagSubproblem(_FgProblem):
 
 
 def _sub_config(cfg: AugLagConfig, eps, eps_x, eps_f) -> SolverConfig:
-    return SolverConfig(
-        rho=cfg.rho,
-        scheme=cfg.scheme,
-        eps=eps,
-        eps_x=eps_x,
-        eps_f=eps_f,
-        max_iter=cfg.sub_max_iter,
-    )
+    return SolverConfig(eps=eps, eps_x=eps_x, eps_f=eps_f, max_iter=cfg.sub_max_iter)
 
 
 def auglag_solve(

@@ -312,8 +312,7 @@ def _record(args, cfg, seed, problem, x0, n, p, pins) -> RunRecord:
     """Solve one instance of `_instances` with cfg at seed and record it."""
     cfg = replace(cfg, seed=seed)
     if pins is not None:
-        alcfg = AugLagConfig(rho=cfg.rho, scheme=cfg.scheme)
-        alr = auglag_solve(problem, pins, alcfg, v0=x0)
+        alr = auglag_solve(problem, pins, AugLagConfig(), v0=x0)
         outcome = dict(
             stop_reason=alr.stop_reason,
             f_initial=alr.f_initial,
@@ -360,7 +359,7 @@ def run_experiment(args) -> List[RunRecord]:
         print(f"warning: --gtau is ignored by scheme {args.scheme!r}", file=sys.stderr)
     cfg = _solver_config(args, args.scheme, args.rho, args.gtau or "linear")
     seeds = range(args.seed, args.seed + args.repeat)
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         records = list(pool.map(lambda i: _record(args, cfg, *i), _instances(args, seeds)))
     return records + aggregate_records(records)
 
@@ -386,6 +385,13 @@ def _comma_list(convert, choices=None):
     return parse
 
 
+def _positive_int(text):
+    """An argparse type: an integer of at least 1."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_common_flags(p):
     p.add_argument("problem", choices=PROBLEM_IDS)
     p.add_argument("--ranks", type=_comma_list(int),
@@ -396,8 +402,9 @@ def _add_common_flags(p):
     p.add_argument("--eps-f", dest="eps_f", type=float, help="value-change tolerance")
     p.add_argument("--max-iter", dest="max_iter", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeat", type=int, default=1, help="repetitions (seed, seed+1, ...)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel solves")
+    p.add_argument("--repeat", type=_positive_int, default=1,
+                   help="repetitions (seed, seed+1, ...)")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel solves")
     p.add_argument("--matrix-file", dest="matrix_file",
                    help="MatrixMarket/.npy/text matrix for 'eigen' or 'nlcm'")
     p.add_argument("--fixed-entries", dest="fixed_entries",
@@ -409,7 +416,7 @@ def _add_common_flags(p):
     p.add_argument("--init", choices=("pca", "random"), default="pca",
                    help="start for correlation problems")
     p.add_argument("--uncontrolled", action="store_true",
-                   help="disable the drift-safe W-hat construction")
+                   help="disable the drift-safe W-hat construction (eigen and balogh only)")
     p.add_argument("--out", help="output path (stdout when omitted)")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
 
@@ -540,8 +547,12 @@ def main(argv=None) -> int:
         if args.fixed_entries and args.problem in ("eigen", "balogh"):
             parser.error(f"--fixed-entries does not apply to problem {args.problem!r}")
         schemes = args.scheme if args.command == "compare" else [args.scheme]
-        if args.problem not in ("eigen", "balogh") and set(schemes) != {"new"}:
-            parser.error(f"problem {args.problem!r} (unit spheres) takes only --scheme new")
+        gtaus = args.gtau if args.command == "compare" else [args.gtau or "linear"]
+        if args.problem not in ("eigen", "balogh") and (
+            set(schemes) != {"new"} or set(gtaus) != {"linear"} or args.uncontrolled
+        ):
+            parser.error(f"problem {args.problem!r} (unit spheres) takes only --scheme new, "
+                         "drift-safe (no --uncontrolled) with --gtau linear")
         pinned = args.problem == "ex10" or args.fixed_entries
         if pinned and args.command == "compare":
             parser.error("compare runs the plain solver, not the outer loop of "

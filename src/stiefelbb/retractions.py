@@ -37,8 +37,8 @@ __all__ = [
 
 GTAU_NAMES = ("linear", "expdamped")
 
-# kinds whose J(tau) contains the g(tau) X^T E term ("new" also on
-# X^T H X = K); gtau is ignored elsewhere
+# kinds whose J(tau) contains the g(tau) X^T E term ("new" on X^T X = I and
+# X^T H X = K; on unit spheres that term is zero); gtau is ignored elsewhere
 GTAU_SENSITIVE = ("new",)
 
 
@@ -320,9 +320,9 @@ class RetractionScheme:
     """A scheme family member: kind, g(tau) choice, and feasibility control.
 
     feasibility_control selects the drift-safe W-hat construction inside the
-    solver loop; it has no effect on kinds other than "new". The sphere
-    geometry honours it; the generalized geometry has only the drift-safe
-    curve and rejects feasibility_control=False.
+    solver loop; it has no effect on kinds other than "new". The sphere and
+    generalized geometries have only the drift-safe curve and reject
+    feasibility_control=False; on the spheres gtau does not act.
     """
 
     kind: str = "new"

@@ -25,10 +25,8 @@ from .retractions import (
     _GeneralizedCurve,
     _NewCurve,
     _generalized_direction,
-    gtau_function,
 )
 from .stepsize import (
-    BBState,
     LineSearchError,
     ReferenceState,
     abb,
@@ -188,26 +186,19 @@ class _StiefelEngine:
 class _SphereCurve:
     """Per-column curve of the new scheme on a product of unit spheres.
 
-    For a single sphere the g(tau) x^T E block of J is a 1x1 skew matrix,
-    i.e. exactly zero in exact arithmetic, so the drift-safe evaluation
-    drops it and J is the diagonal J_i = 1 + tau^2/4 ||w_i||^2.  The
-    literal evaluation (vtd given) keeps the g(tau) v_i^T d_i term as
-    written; once a column drifts off unit norm that term is nonzero and
-    feeds the drift back into the next iterate.
+    For a single sphere D_rho = G - v v^T G for every rho, and the
+    g(tau) v^T E block of J is a 1x1 skew matrix, i.e. exactly zero, so J is
+    the diagonal J_i = 1 + tau^2/4 ||w_i||^2 whatever rho and g(tau).
     """
 
-    def __init__(self, v, w, vtd=None, gtau="linear"):
+    def __init__(self, v, w):
         self.v = v
         self.w = w
         self.wsq = np.einsum("ij,ij->j", w, w)
-        self.vtd = vtd
-        self.gtau = gtau
         self._j = None
 
     def eval(self, tau):
         j = 1.0 + (0.25 * tau * tau) * self.wsq
-        if self.vtd is not None:
-            j = j + gtau_function(self.gtau)(tau) * self.vtd
         if not np.isfinite(j).all() or (j == 0.0).any():
             raise np.linalg.LinAlgError("diagonal J numerically singular")
         y = (2.0 * self.v + tau * self.w) / j - self.v
@@ -221,10 +212,8 @@ class _SphereCurve:
 
 
 class _SphereEngine:
-    """The same loop on {V in R^{r x n} : every column has unit norm}."""
-
-    def __init__(self, cfg: SolverConfig):
-        self.scheme = cfg.scheme
+    """The same loop on {V in R^{r x n} : every column has unit norm}; it
+    runs only the drift-safe curve of the new scheme."""
 
     def direction(self, v, g):
         vg = np.einsum("ij,ij->j", v, g)
@@ -232,21 +221,11 @@ class _SphereEngine:
         return d, vg
 
     def curve_and_slope(self, v, g, d, vg):
+        # v_i^T w_i = 0 exactly, even after the columns have drifted
         vtd = np.einsum("ij,ij->j", v, d)
-        if self.scheme.feasibility_control:
-            # v_i^T w_i = 0 exactly, even after the columns have drifted,
-            # and the 1x1 g(tau) block of J is dropped (exact skew = 0)
-            vv = np.einsum("ij,ij->j", v, v)
-            w = v * (vtd / vv) - d
-            curve = _SphereCurve(v, w)
-        else:
-            # formulas as written: w_i = -(I - v_i v_i^T) d_i and the
-            # g(tau) v_i^T d_i term kept literally; both are nonzero once a
-            # column drifts and amplify the drift
-            w = v * vtd - d
-            curve = _SphereCurve(v, w, vtd, self.scheme.gtau)
-        slope = -float(np.vdot(g, d))
-        return curve, slope
+        vv = np.einsum("ij,ij->j", v, v)
+        w = v * (vtd / vv) - d
+        return _SphereCurve(v, w), -float(np.vdot(g, d))
 
     def feasibility(self, v) -> float:
         return float(np.linalg.norm(np.einsum("ij,ij->j", v, v) - 1.0))
@@ -302,7 +281,6 @@ class SolverState:
     ctx: object
     d0_norm: float
     tau1: float
-    bb: BBState
     ref: ReferenceState
     k: int = 0
     nfge: int = 1
@@ -323,25 +301,29 @@ def _make_engine(problem, cfg, gc):
         return _StiefelEngine(cfg)
     if manifold not in ("spheres", "generalized"):
         raise ValueError(f"unknown problem manifold {manifold!r}")
-    # the curves of the other kinds are built for X^T X = I_p only
-    if cfg.scheme.kind != "new":
-        raise ValueError(f"the {manifold!r} geometry supports only scheme kind 'new'")
-    if manifold == "generalized" and not cfg.scheme.feasibility_control:
-        raise ValueError("the 'generalized' curve is built only with feasibility_control=True")
-    return _SphereEngine(cfg) if manifold == "spheres" else _GeneralizedEngine(cfg, gc)
+    # the curves of the other kinds are built for X^T X = I_p only, and
+    # these geometries have only the drift-safe curve
+    if cfg.scheme.kind != "new" or not cfg.scheme.feasibility_control:
+        raise ValueError(
+            f"the {manifold!r} geometry supports only scheme kind 'new' "
+            "with feasibility_control=True"
+        )
+    return _SphereEngine() if manifold == "spheres" else _GeneralizedEngine(cfg, gc)
 
 
 def prepare_state(problem, x0=None, cfg=None, gc=None) -> SolverState:
     """Build the loop state: evaluate the start, form D and the first trial step."""
     cfg = SolverConfig() if cfg is None else cfg
     engine = _make_engine(problem, cfg, gc)
+    shape = getattr(problem, "shape", None)
     if x0 is None:
-        shape = getattr(problem, "shape", None)
         if shape is None:
             raise ValueError("need x0 or a problem exposing .shape for a random start")
         x0 = engine.reorthogonalize(np.random.default_rng(cfg.seed).standard_normal(shape))
     else:
         x0 = np.array(np.asarray(x0), dtype=float, copy=True)
+        if shape is not None and x0.shape != tuple(shape):
+            raise ValueError(f"x0 has shape {x0.shape}, the problem needs {tuple(shape)}")
         if gc is not None:
             if engine.feasibility(x0) > 1e-12 * max(1.0, float(np.linalg.norm(gc.k))):
                 x0 = engine.reorthogonalize(x0)
@@ -368,7 +350,6 @@ def prepare_state(problem, x0=None, cfg=None, gc=None) -> SolverState:
         ctx=ctx,
         d0_norm=d_norm,
         tau1=0.5 / d_norm if d_norm > 0.0 else 1.0,
-        bb=BBState(),
         ref=ReferenceState.fresh(f0),
         f_history=[f0],
         tolx_win=deque(maxlen=WINDOW_T),
@@ -421,15 +402,14 @@ def iterate_once(state: SolverState) -> SolverState:
     # reference value recurrence
     update_reference(state.ref, f_new)
 
-    # secant pair, next trial step
-    bb = state.bb
-    bb.s_prev = y - state.x
-    bb.y_prev = d_new - state.d
-    bb.k = state.k + 1
-    # curves with a cached J offer the <S,S> = 4p - 4 tr(J^{-1}) shortcut
-    trace_jinv = getattr(curve, "trace_jinv", None)
-    bb.trace_jinv = trace_jinv() if trace_jinv is not None else None
-    s_norm_sq = bb.s_dot_s()
+    # secant pair S, Y and <S,S>; curves with a cached J offer the
+    # <S,S> = 4p - 4 tr(J^{-1}) shortcut
+    s = y - state.x
+    yd = d_new - state.d
+    if hasattr(curve, "trace_jinv"):
+        ss = max(4.0 * s.shape[1] - 4.0 * curve.trace_jinv(), 0.0)
+    else:
+        ss = float(np.vdot(s, s))
 
     f_prev = state.f
     state.x, state.f, state.g = y, f_new, g_new
@@ -439,7 +419,7 @@ def iterate_once(state: SolverState) -> SolverState:
     if state.feas_trace is not None:
         state.feas_trace.append(eng.feasibility(y))
 
-    tau0 = abb(bb)
+    tau0 = abb(state.k, s, yd, ss)
     if tau0 is None:
         # degenerate secant pair: fall back to the previous safeguarded step
         tau0 = state.tau1
@@ -447,7 +427,7 @@ def iterate_once(state: SolverState) -> SolverState:
         state.tau1 = safeguard(tau0, d_new_norm)
 
     # diminishing-change tests: pointwise, then windowed means
-    tol_x = math.sqrt(max(s_norm_sq, 0.0)) / eng.dim_scale(state.x)
+    tol_x = math.sqrt(ss) / eng.dim_scale(state.x)
     tol_f = abs(f_prev - f_new) / (abs(f_prev) + 1.0)
     state.tolx_win.append(tol_x)
     state.tolf_win.append(tol_f)

@@ -14,7 +14,6 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
-    "BBState",
     "ReferenceState",
     "LineSearchError",
     "bb_long",
@@ -52,57 +51,33 @@ class LineSearchError(RuntimeError):
         self.evals = evals
 
 
-@dataclass
-class BBState:
-    """Secant pair S = X_k - X_{k-1}, Y = D_k - D_{k-1} plus the iteration
-    counter whose parity drives the alternation. trace_jinv, when present,
-    provides <S,S> = 4p - 4 tr(J^{-1}) without touching S."""
-
-    s_prev: Optional[np.ndarray] = None
-    y_prev: Optional[np.ndarray] = None
-    k: int = 0
-    trace_jinv: Optional[float] = None
-
-    def _pair(self):
-        if self.s_prev is None or self.y_prev is None:
-            raise ValueError("BB stepsize needs a stored (S, Y) pair")
-        return self.s_prev, self.y_prev
-
-    def s_dot_s(self) -> float:
-        s, _ = self._pair()
-        if self.trace_jinv is not None:
-            p = s.shape[1]
-            return max(4.0 * p - 4.0 * self.trace_jinv, 0.0)
-        return float(np.vdot(s, s))
-
-
-def bb_long(state: BBState) -> Optional[float]:
-    """Long BB step <S,S>/|<S,Y>|; None when the denominator is degenerate."""
-    s, y = state._pair()
+def bb_long(s, y, ss: float) -> Optional[float]:
+    """Long BB step <S,S>/|<S,Y>|, with ss = <S,S> from the caller; None when
+    the denominator is degenerate."""
     sy = abs(float(np.vdot(s, y)))
     scale = float(np.linalg.norm(s)) * float(np.linalg.norm(y))
     if sy <= DEGENERATE_REL * scale or sy == 0.0:
         return None
-    return state.s_dot_s() / sy
+    return ss / sy
 
 
-def bb_short(state: BBState) -> Optional[float]:
+def bb_short(s, y) -> Optional[float]:
     """Short BB step |<S,Y>|/<Y,Y>; None when Y vanishes. A zero numerator is
     returned as 0.0 and left to the safeguard's lower clamp."""
-    s, y = state._pair()
     yy = float(np.vdot(y, y))
     if yy == 0.0:
         return None
     return abs(float(np.vdot(s, y))) / yy
 
 
-def abb(state: BBState) -> Optional[float]:
-    """Alternating rule: short step for odd k, long step for even k."""
-    if state.k < 1:
+def abb(k: int, s, y, ss: float) -> Optional[float]:
+    """Alternating rule on the secant pair S = X_k - X_{k-1}, Y = D_k - D_{k-1}:
+    short step for odd k, long step for even k."""
+    if k < 1:
         raise ValueError("ABB needs k >= 1 (the first completed step)")
-    if state.k % 2 == 1:
-        return bb_short(state)
-    return bb_long(state)
+    if k % 2 == 1:
+        return bb_short(s, y)
+    return bb_long(s, y, ss)
 
 
 def safeguard(tau0: float, d_norm: float) -> float:

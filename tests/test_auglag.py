@@ -1,5 +1,7 @@
 """Tests for the augmented-Lagrangian outer loop and its subproblem objective."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -262,7 +264,8 @@ class TestAugLagSolve:
 
     def test_defaults(self):
         cfg = AugLagConfig()
-        assert (cfg.sub_max_iter, cfg.max_outer, cfg.rho) == (2000, 30, 0.25)
+        assert (cfg.sub_max_iter, cfg.max_outer, cfg.seed) == (2000, 30, None)
+        assert [f.name for f in dataclasses.fields(cfg)] == ["sub_max_iter", "max_outer", "seed"]
         assert (auglag.MU0, auglag.MU_GROWTH, auglag.SHRINK) == (1.0, 10.0, 0.1)
         assert auglag.EPS_START == (1e-1, 1e-3, 1e-5)
         assert auglag.EPS_FLOOR == (1e-5, 1e-5, 1e-8)

@@ -237,9 +237,12 @@ class TestCommandLine:
             ["heterogeneous", "--ranks", "2"],
             ["eigen", "--ranks", "2"],
             ["run", "eigen", "--config", "c.json"],
+            ["run", "eigen", "--repeat", "0"],
+            ["compare", "eigen", "--rho", "0.25,0.5", "--repeat", "0"],
+            ["run", "eigen", "--jobs", "0"],
         ],
         ids=["problem-flag", "p-flag", "ranks-prefix", "alias", "implicit-run",
-             "config-flag"],
+             "config-flag", "run-repeat-zero", "compare-repeat-zero", "run-jobs-zero"],
     )
     def test_dropped_spellings_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -288,11 +291,17 @@ class TestCommandLine:
             ["run", "ex10", "--scheme", "qr"],
             ["compare", "ex3", "--scheme", "new,polar"],
             ["compare", "nlcm", "--scheme", "gp", "--rho", "0.25,0.5"],
+            ["run", "ex3", "--uncontrolled"],
+            ["compare", "ex2", "--rho", "0.25,0.5", "--uncontrolled"],
+            ["run", "ex3", "--gtau", "expdamped"],
+            ["compare", "ex3", "--gtau", "linear,expdamped"],
         ],
-        ids=["run-ex2", "run-ex10", "compare-ex3", "compare-nlcm"],
+        ids=["run-ex2", "run-ex10", "compare-ex3", "compare-nlcm", "run-uncontrolled",
+             "compare-uncontrolled", "run-gtau", "compare-gtau"],
     )
     def test_non_new_scheme_on_sphere_problem_is_usage_error(self, argv, capsys):
-        # the correlation problems run on unit spheres, where only 'new' is built
+        # the correlation problems run on unit spheres, where only the
+        # drift-safe 'new' curve is built and g(tau) does not act
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--n", "60", "--ranks", "3"])
         assert exc.value.code == 2

@@ -590,7 +590,7 @@ class TestInverseCurves:
         v = rng.standard_normal((3, 9))
         v /= np.linalg.norm(v, axis=0)
         g = rng.standard_normal((3, 9))
-        engine = _SphereEngine(SolverConfig())
+        engine = _SphereEngine()
         d, vg = engine.direction(v, g)
         return engine.curve_and_slope(v, g, d, vg)[0]
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from stiefelbb import (
-    BBState,
     LineSearchError,
     ReferenceState,
     RetractionScheme,
@@ -40,41 +39,39 @@ def random_pair(seed, shape=(6, 2)):
     return rng.standard_normal(shape), rng.standard_normal(shape)
 
 
+def ss(s):
+    return float(np.vdot(s, s))
+
+
 class TestBBSteps:
     def test_equal_pair_gives_one(self):
         s, _ = random_pair(0)
-        state = BBState(s_prev=s, y_prev=s.copy(), k=1)
-        assert bb_long(state) == pytest.approx(1.0)
-        assert bb_short(state) == pytest.approx(1.0)
+        y = s.copy()
+        assert bb_long(s, y, ss(s)) == pytest.approx(1.0)
+        assert bb_short(s, y) == pytest.approx(1.0)
 
     def test_doubled_secant(self):
         _, y = random_pair(1)
-        state = BBState(s_prev=2.0 * y, y_prev=y, k=1)
-        assert bb_long(state) == pytest.approx(2.0)
-        assert bb_short(state) == pytest.approx(2.0)
+        s = 2.0 * y
+        assert bb_long(s, y, ss(s)) == pytest.approx(2.0)
+        assert bb_short(s, y) == pytest.approx(2.0)
 
     def test_short_never_exceeds_long(self):
         for seed in range(20):
             s, y = random_pair(100 + seed)
-            state = BBState(s_prev=s, y_prev=y, k=1)
-            assert bb_short(state) <= bb_long(state) * (1.0 + 1e-12)
+            assert bb_short(s, y) <= bb_long(s, y, ss(s)) * (1.0 + 1e-12)
 
     def test_orthogonal_pair(self):
         s = np.array([[1.0], [0.0]])
         y = np.array([[0.0], [1.0]])
-        state = BBState(s_prev=s, y_prev=y, k=1)
-        assert bb_long(state) is None  # zero denominator -> fallback
-        assert bb_short(state) == 0.0  # valid zero; safeguard clamps it later
+        assert bb_long(s, y, ss(s)) is None  # zero denominator -> fallback
+        assert bb_short(s, y) == 0.0  # valid zero; safeguard clamps it later
 
     def test_zero_y_signals_fallback(self):
         s, _ = random_pair(2)
-        state = BBState(s_prev=s, y_prev=np.zeros_like(s), k=1)
-        assert bb_short(state) is None
-        assert bb_long(state) is None
-
-    def test_missing_pair_rejected(self):
-        with pytest.raises(ValueError):
-            bb_long(BBState())
+        y = np.zeros_like(s)
+        assert bb_short(s, y) is None
+        assert bb_long(s, y, ss(s)) is None
 
     def test_trace_shortcut_matches_direct_inner_product(self):
         # after a curve step from the default scheme, <S,S> can be read off
@@ -87,25 +84,24 @@ class TestBBSteps:
             tau = float(rng.uniform(0.1, 1.5)) / np.linalg.norm(d)
             curve = retract_new(x, d)
             s = curve.eval(tau) - x
-            direct = float(np.vdot(s, s))
-            state = BBState(s_prev=s, y_prev=s, k=1, trace_jinv=curve.trace_jinv())
-            assert state.s_dot_s() == pytest.approx(direct, rel=1e-10, abs=1e-14)
+            shortcut = 4.0 * p - 4.0 * curve.trace_jinv()
+            assert shortcut == pytest.approx(ss(s), rel=1e-10, abs=1e-14)
 
 
 class TestABB:
     def test_parity_alternation(self):
         s, y = random_pair(4)
-        short = bb_short(BBState(s_prev=s, y_prev=y, k=1))
-        long = bb_long(BBState(s_prev=s, y_prev=y, k=2))
+        short = bb_short(s, y)
+        long = bb_long(s, y, ss(s))
         for k in range(1, 7):
-            got = abb(BBState(s_prev=s, y_prev=y, k=k))
+            got = abb(k, s, y, ss(s))
             expected = short if k % 2 == 1 else long
             assert got == pytest.approx(expected)
 
     def test_k_zero_rejected(self):
         s, y = random_pair(5)
         with pytest.raises(ValueError):
-            abb(BBState(s_prev=s, y_prev=y, k=0))
+            abb(0, s, y, ss(s))
 
 
 class TestSafeguard:
