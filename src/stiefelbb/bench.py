@@ -312,7 +312,9 @@ def _record(args, cfg, seed, problem, x0, n, p, pins) -> RunRecord:
     """Solve one instance of `_instances` with cfg at seed and record it."""
     cfg = replace(cfg, seed=seed)
     if pins is not None:
-        alr = auglag_solve(problem, pins, AugLagConfig(), v0=x0)
+        # the outer loop sets the sub-solve tolerances; --max-iter caps each sub-solve
+        budget = {} if args.max_iter is None else {"sub_max_iter": args.max_iter}
+        alr = auglag_solve(problem, pins, AugLagConfig(**budget), v0=x0)
         outcome = dict(
             stop_reason=alr.stop_reason,
             f_initial=alr.f_initial,
@@ -546,13 +548,6 @@ def main(argv=None) -> int:
     if args.command != "drift":
         if args.fixed_entries and args.problem in ("eigen", "balogh"):
             parser.error(f"--fixed-entries does not apply to problem {args.problem!r}")
-        schemes = args.scheme if args.command == "compare" else [args.scheme]
-        gtaus = args.gtau if args.command == "compare" else [args.gtau or "linear"]
-        if args.problem not in ("eigen", "balogh") and (
-            set(schemes) != {"new"} or set(gtaus) != {"linear"} or args.uncontrolled
-        ):
-            parser.error(f"problem {args.problem!r} (unit spheres) takes only --scheme new, "
-                         "drift-safe (no --uncontrolled) with --gtau linear")
         pinned = args.problem == "ex10" or args.fixed_entries
         if pinned and args.command == "compare":
             parser.error("compare runs the plain solver, not the outer loop of "
@@ -560,6 +555,17 @@ def main(argv=None) -> int:
         if pinned and args.init == "random":
             parser.error("--init random does not apply to prescribed entries, "
                          "whose outer loop starts from modified PCA")
+        if pinned and (args.eps, args.eps_x, args.eps_f) != (None, None, None):
+            parser.error("--eps, --eps-x and --eps-f do not apply to prescribed "
+                         "entries, whose outer loop sets the sub-solve tolerances")
+        # the (scheme, rho, gtau) values: comma lists for compare, one each for run
+        values = (args.scheme, args.rho, args.gtau) if args.command == "compare" else (
+            [args.scheme], [args.rho], [args.gtau or "linear"])
+        if args.problem not in ("eigen", "balogh") and (
+            [set(v) for v in values] != [{"new"}, {0.25}, {"linear"}] or args.uncontrolled
+        ):
+            parser.error(f"problem {args.problem!r} (unit spheres) takes only --scheme new, "
+                         "drift-safe (no --uncontrolled) with --gtau linear and --rho 0.25")
     return args.handler(args)
 
 

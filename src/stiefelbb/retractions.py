@@ -88,32 +88,35 @@ def _checked_jinv(k, m1, m2, bounds, tau, g):
 
 
 class _NewCurve:
-    """Y(tau) = (2X + tau W) J(tau)^{-1} - X with J = I + tau^2/4 W^T W + g(tau) X^T E.
+    """Y(tau) = (2X + tau W) J(tau)^{-1} K - X, J = K + tau^2/4 W^T H W + g(tau) X^T H D.
 
-    W and the p x p blocks are tau-independent and cached; each eval costs one
-    p x p assembly, one p x p inverse and one n x p GEMM. The inverse is kept
-    for tr(J^{-1}).
+    The new scheme on {X^T H X = K}; Stiefel is H = K = I, the default k,
+    where the product J^{-1} K is exact. W and the tau-independent blocks
+    come from the builder; each eval costs one p x p assembly, inverse and
+    product and one n x p GEMM.
     """
 
-    def __init__(self, x, w, xte, gtau):
+    def __init__(self, x, d, w, wthw, xthd, gtau, k=None):
         self.x = x
+        self.d = d
         self.w = w
-        self.xte = xte
-        self.wtw = w.T @ w
+        self.k = np.eye(x.shape[1]) if k is None else k
+        self.wthw = wthw
+        self.xthd = xthd
         self.g = gtau_function(gtau)
-        self._bounds = (1.0,) + _entry_max(self.wtw, xte)
-        self._jinv = None
+        self._bounds = _entry_max(self.k, wthw, xthd)
 
     def eval(self, tau):
-        p = self.x.shape[1]
-        self._jinv = _checked_jinv(np.eye(p), self.wtw, self.xte, self._bounds, tau, self.g)
-        return (2.0 * self.x + tau * self.w) @ self._jinv - self.x
+        jinv = _checked_jinv(self.k, self.wthw, self.xthd, self._bounds, tau, self.g)
+        return (2.0 * self.x + tau * self.w) @ (jinv @ self.k) - self.x
 
-    def trace_jinv(self):
-        """tr(J^{-1}) at the last evaluated tau, for the free <S,S> shortcut."""
-        if self._jinv is None:
-            raise ValueError("curve not evaluated yet")
-        return float(np.trace(self._jinv))
+
+def _literal_curve(x, e, gtau):
+    """The Stiefel new curve with its formulas taken as written: W = X X^T E - E
+    and the J block X^T E. Off the manifold both feed the drift back into Y."""
+    xte = x.T @ e
+    w = x @ xte - e
+    return _NewCurve(x, e, w, w.T @ w, xte, gtau)
 
 
 def retract_new(x, e, gtau="linear"):
@@ -130,11 +133,11 @@ def retract_new(x, e, gtau="linear"):
         The g(tau) term in J: tau/2 or tau*exp(-tau)/2.
     """
     x, e = _checked_pair(x, e, "E")
-    xte = x.T @ e
-    viol = np.linalg.norm(xte + xte.T)
+    curve = _literal_curve(x, e, gtau)
+    viol = np.linalg.norm(curve.xthd + curve.xthd.T)
     if viol > 1e-6 * max(1.0, np.linalg.norm(e)):
         raise ValueError(f"E is not tangent at X: ||X^T E + E^T X||_F = {viol:.3e}")
-    return _NewCurve(x, x @ xte - e, xte, gtau)
+    return curve
 
 
 class _PolarCurve:
@@ -302,7 +305,7 @@ def retract_lowrank_column(x, g):
     return _LowRankCurve(*_checked_pair(x, g, "G"))
 
 
-# the curve class of each Stiefel kind but "new" (whose two W variants the
+# the curve class of each Stiefel kind but "new" (whose W and J blocks the
 # solver's engine builds itself); SCHEME_KINDS keeps this order
 _CURVES = {
     "polar": _PolarCurve,
@@ -368,38 +371,18 @@ def _generalized_direction(x, g, h):
     return g @ (hx.T @ hx) - hx @ (g.T @ hx), hx
 
 
-class _GeneralizedCurve:
-    """Y(tau) = (2X + tau W) J^{-1} K - X on {X^T H X = K}.
+def _generalized_curve(x, g, gc, gtau, hx, d):
+    """The new curve on {X^T H X = K}, from D and H X of _generalized_direction.
 
-    Each eval costs one p x p inverse, one p x p product J^{-1} K and one
-    n x p GEMM.
-
-    D and H X come from _generalized_direction; W = -(I - X K^{-1} X^T H) D,
-    J = K + tau^2/4 W^T H W + g(tau) X^T H D. The X^T H D block is
-    evaluated as A - A^T with A = (X^T H G)(X^T H^2 X): this equals the
-    literal product in exact arithmetic but stays skew for any X, so
-    feasibility error is never fed back through J.
+    W = -(I - X K^{-1} X^T H) D and J = K + tau^2/4 W^T H W + g(tau) X^T H D.
+    The X^T H D block is evaluated as A - A^T with A = (X^T H G)(X^T H^2 X):
+    this equals the literal product in exact arithmetic but stays skew for
+    any X, so feasibility error is never fed back through J.
     """
-
-    def __init__(self, x, g, gc, gtau, hx, d):
-        h, k = gc.h, gc.k
-        m1 = hx.T @ g
-        m2 = sym(hx.T @ hx)
-        self.d = d
-        a = m1 @ m2
-        xthd = a - a.T
-        w = x @ scipy.linalg.cho_solve((gc.k_lower, True), xthd, check_finite=False) - d
-        self.x = x
-        self.w = w
-        self.k = k
-        self.wthw = w.T @ (h @ w)
-        self.xthd = xthd
-        self.g = gtau_function(gtau)
-        self._bounds = _entry_max(k, self.wthw, xthd)
-
-    def eval(self, tau):
-        jinv = _checked_jinv(self.k, self.wthw, self.xthd, self._bounds, tau, self.g)
-        return (2.0 * self.x + tau * self.w) @ (jinv @ self.k) - self.x
+    a = (hx.T @ g) @ sym(hx.T @ hx)
+    xthd = a - a.T
+    w = x @ scipy.linalg.cho_solve((gc.k_lower, True), xthd, check_finite=False) - d
+    return _NewCurve(x, d, w, w.T @ (gc.h @ w), xthd, gtau, gc.k)
 
 
 def retract_generalized(x, g, gc, gtau="linear"):
@@ -409,5 +392,5 @@ def retract_generalized(x, g, gc, gtau="linear"):
     if feas > 1e-10 * max(1.0, float(np.linalg.norm(gc.k))):
         raise ValueError(f"X violates X^T H X = K: error {feas:.3e}")
     d, hx = _generalized_direction(x, g, gc.h)
-    return _GeneralizedCurve(x, g, gc, gtau, hx, d)
+    return _generalized_curve(x, g, gc, gtau, hx, d)
 

@@ -22,9 +22,10 @@ from .retractions import (
     _CURVES,
     GeneralizedConstraint,
     RetractionScheme,
-    _GeneralizedCurve,
     _NewCurve,
+    _generalized_curve,
     _generalized_direction,
+    _literal_curve,
 )
 from .stepsize import (
     LineSearchError,
@@ -141,30 +142,27 @@ class _StiefelEngine:
         for the curves that leave X along -D_rho, -slope_inner for those
         built from G."""
         kind = self.scheme.kind
-        if kind == "new":
-            if self.scheme.feasibility_control:
-                # drift-safe variant: the J block takes the expression
-                # 2 rho (X^T G - G^T X), which equals X^T D_rho on the
-                # manifold and is skew for ANY X, so it never feeds
-                # feasibility error back into the curve; and
-                # W-hat = -(I - X (X^T X)^{-1} X^T) D_rho has X^T W-hat = 0
-                # up to solve roundoff even at a drifted X.  The roundoff
-                # scales with ||D||, vanishing as the loop converges
-                # (building W-hat from G instead leaves a floor of
-                # eps_mach ||G|| that accumulates over long runs).
-                xte = (2.0 * self.rho) * (xtg - xtg.T)
-                w = x @ np.linalg.solve(x.T @ x, x.T @ d) - d
-            else:
-                # plain variant, formulas evaluated as written: both the
-                # projection W = -(I - X X^T) D_rho and the J block X^T D_rho
-                # are taken literally.  Once X drifts, X^T W = (X^T X - I)
-                # X^T D != 0 and sym(X^T D) != 0, and both feed the drift
-                # back into the next iterate, so orthonormality error grows
-                # along the run.
-                xtd = x.T @ d
-                xte = xtd
-                w = x @ xtd - d
-            curve = _NewCurve(x, w, xte, self.scheme.gtau)
+        if kind == "new" and self.scheme.feasibility_control:
+            # drift-safe variant: the J block takes the expression
+            # 2 rho (X^T G - G^T X), which equals X^T D_rho on the
+            # manifold and is skew for ANY X, so it never feeds
+            # feasibility error back into the curve; and
+            # W-hat = -(I - X (X^T X)^{-1} X^T) D_rho has X^T W-hat = 0
+            # up to solve roundoff even at a drifted X.  The roundoff
+            # scales with ||D||, vanishing as the loop converges
+            # (building W-hat from G instead leaves a floor of
+            # eps_mach ||G|| that accumulates over long runs).
+            xte = (2.0 * self.rho) * (xtg - xtg.T)
+            w = x @ np.linalg.solve(x.T @ x, x.T @ d) - d
+            curve = _NewCurve(x, d, w, w.T @ w, xte, self.scheme.gtau)
+        elif kind == "new":
+            # plain variant, formulas evaluated as written: both the
+            # projection W = -(I - X X^T) D_rho and the J block X^T D_rho
+            # are taken literally.  Once X drifts, X^T W = (X^T X - I)
+            # X^T D != 0 and sym(X^T D) != 0, and both feed the drift
+            # back into the next iterate, so orthonormality error grows
+            # along the run.
+            curve = _literal_curve(x, d, self.scheme.gtau)
         elif getattr(_CURVES[kind], "follows_g", False):
             curve = _CURVES[kind](x, g, xtg)
             return curve, -curve.slope_inner
@@ -189,6 +187,10 @@ class _SphereCurve:
     For a single sphere D_rho = G - v v^T G for every rho, and the
     g(tau) v^T E block of J is a 1x1 skew matrix, i.e. exactly zero, so J is
     the diagonal J_i = 1 + tau^2/4 ||w_i||^2 whatever rho and g(tau).
+
+    It alone keeps the <S,S> = 4n - 4 sum_i 1/J_i shortcut: the direct
+    vdot(S, S) moves the auglag path at roundoff, and the weak-pairs oracle
+    test then ends 0.25% off its oracle, past its 0.1% bound.
     """
 
     def __init__(self, v, w):
@@ -248,9 +250,7 @@ class _GeneralizedEngine:
         return _generalized_direction(x, g, self.gc.h)
 
     def curve_and_slope(self, x, g, d, hx):
-        curve = _GeneralizedCurve(x, g, self.gc, self.gtau, hx, d)
-        slope = -float(np.vdot(g, d))
-        return curve, slope
+        return _generalized_curve(x, g, self.gc, self.gtau, hx, d), -float(np.vdot(g, d))
 
     def feasibility(self, x) -> float:
         return self.gc.feasibility(x)
@@ -402,8 +402,8 @@ def iterate_once(state: SolverState) -> SolverState:
     # reference value recurrence
     update_reference(state.ref, f_new)
 
-    # secant pair S, Y and <S,S>; curves with a cached J offer the
-    # <S,S> = 4p - 4 tr(J^{-1}) shortcut
+    # secant pair S, Y and <S,S> = vdot(S, S), positive even after a tiny
+    # step; only the sphere curve keeps 4n - 4 sum_i 1/J_i (see _SphereCurve)
     s = y - state.x
     yd = d_new - state.d
     if hasattr(curve, "trace_jinv"):

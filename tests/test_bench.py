@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from stiefelbb import (
+    AugLagConfig,
     RunRecord,
     SolverConfig,
     TraceEigenProblem,
@@ -275,6 +276,32 @@ class TestCommandLine:
         assert exc.value.code == 2
         assert "compare" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--eps", "--eps-x", "--eps-f"])
+    @pytest.mark.parametrize(
+        "args", [["ex10"], ["ex3", "--fixed-entries", "pins.txt"]],
+        ids=["ex10", "fixed-entries"],
+    )
+    def test_tolerance_with_pins_is_usage_error(self, args, flag, tmp_path, monkeypatch,
+                                                capsys):
+        # the outer loop sets the tolerances of its sub-solves
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pins.txt").write_text("2 1 0.0\n3 1 0.0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *args, "--n", "30", "--ranks", "3", flag, "1e-3"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_max_iter_caps_each_pinned_sub_solve(self, tmp_path, capsys):
+        out = tmp_path / "recs.jsonl"
+        code, _, _ = self.run_main(
+            ["run", "ex10", "--n", "60", "--ranks", "3", "--max-iter", "5",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        rec = read_records(str(out), "jsonl")[0]
+        assert rec.iters <= 5 * AugLagConfig().max_outer
+
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize("problem", ["eigen", "balogh"])
     def test_fixed_entries_on_unpinned_problem_is_usage_error(self, command, problem, capsys):
@@ -295,13 +322,15 @@ class TestCommandLine:
             ["compare", "ex2", "--rho", "0.25,0.5", "--uncontrolled"],
             ["run", "ex3", "--gtau", "expdamped"],
             ["compare", "ex3", "--gtau", "linear,expdamped"],
+            ["run", "ex2", "--rho", "0.5"],
+            ["compare", "ex3", "--rho", "0.25,0.5"],
         ],
         ids=["run-ex2", "run-ex10", "compare-ex3", "compare-nlcm", "run-uncontrolled",
-             "compare-uncontrolled", "run-gtau", "compare-gtau"],
+             "compare-uncontrolled", "run-gtau", "compare-gtau", "run-rho", "compare-rho"],
     )
     def test_non_new_scheme_on_sphere_problem_is_usage_error(self, argv, capsys):
         # the correlation problems run on unit spheres, where only the
-        # drift-safe 'new' curve is built and g(tau) does not act
+        # drift-safe 'new' curve is built and neither g(tau) nor rho acts
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--n", "60", "--ranks", "3"])
         assert exc.value.code == 2

@@ -427,6 +427,17 @@ class TestKnownOptimumProblem:
         opt = prob.known_optimum
         assert abs(rep.f_final - opt) <= 1e-3 * abs(opt)
 
+    def test_tiny_step_keeps_a_positive_iterate_change(self):
+        # the same run: its last step is tau = 1.4e-12, and tol_x =
+        # ||S|| / sqrt(n) is read from vdot(S, S) (4.8e-10 here), where
+        # 4p - 4 tr(J^{-1}) cancels to exactly 0
+        prob = heterogeneous_problem(1000, 10, "random", seed=180110)
+        state = prepare_state(prob, cfg=SolverConfig(seed=80110))
+        while not state.done:
+            iterate_once(state)
+        assert state.stop_reason == "XtolFtol" and state.k == 6
+        assert all(t > 0.0 for t in state.tolx_win)
+
 
 class TestSphereGeometry:
     @staticmethod

@@ -23,6 +23,7 @@ from stiefelbb import (
     safeguard,
     update_reference,
 )
+from stiefelbb.solver import _SphereEngine
 from stiefelbb.stepsize import (
     DELTA,
     DELTA_CAP,
@@ -74,17 +75,20 @@ class TestBBSteps:
         assert bb_long(s, y, ss(s)) is None
 
     def test_trace_shortcut_matches_direct_inner_product(self):
-        # after a curve step from the default scheme, <S,S> can be read off
-        # the cached p x p factor: <S,S> = 4p - 4 tr(J^{-1})
+        # after a step of the sphere curve, <S,S> can be read off its cached
+        # diagonal J: <S,S> = 4n - 4 sum_i 1/J_i
         rng = np.random.default_rng(3)
+        engine = _SphereEngine()
         for trial in range(10):
-            n, p = 12, 3
-            x = random_stiefel(n, p, seed=trial)
-            d = compute_d_rho(x, rng.standard_normal((n, p)), 0.25)
+            r, n = 3, 12
+            v = rng.standard_normal((r, n))
+            v /= np.linalg.norm(v, axis=0)
+            g = rng.standard_normal((r, n))
+            d, vg = engine.direction(v, g)
+            curve, _ = engine.curve_and_slope(v, g, d, vg)
             tau = float(rng.uniform(0.1, 1.5)) / np.linalg.norm(d)
-            curve = retract_new(x, d)
-            s = curve.eval(tau) - x
-            shortcut = 4.0 * p - 4.0 * curve.trace_jinv()
+            s = curve.eval(tau) - v
+            shortcut = 4.0 * n - 4.0 * curve.trace_jinv()
             assert shortcut == pytest.approx(ss(s), rel=1e-10, abs=1e-14)
 
 
