@@ -289,8 +289,6 @@ def _instances(args, seeds):
     # the low-rank correlation family
     n = args.n or (200 if pid == "ex10" else 500)
     if pid == "nlcm":
-        if not args.matrix_file:
-            raise SystemExit("error: problem 'nlcm' needs --matrix-file")
         c = load_matrix(args.matrix_file)
     fes = FixedEntrySet.from_text(args.fixed_entries) if args.fixed_entries else None
     for r in args.ranks or [10 if pid == "ex10" else 5]:
@@ -394,33 +392,61 @@ def _positive_int(text):
     return int(text)
 
 
-def _add_common_flags(p):
-    p.add_argument("problem", choices=PROBLEM_IDS)
-    p.add_argument("--ranks", type=_comma_list(int),
-                   help="rank / column count, or a comma list of them, e.g. 5,20,50")
-    p.add_argument("--n", type=int, help="problem dimension")
-    p.add_argument("--eps", type=float, help="relative residual tolerance")
-    p.add_argument("--eps-x", dest="eps_x", type=float, help="iterate-change tolerance")
-    p.add_argument("--eps-f", dest="eps_f", type=float, help="value-change tolerance")
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeat", type=_positive_int, default=1,
-                   help="repetitions (seed, seed+1, ...)")
-    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel solves")
-    p.add_argument("--matrix-file", dest="matrix_file",
-                   help="MatrixMarket/.npy/text matrix for 'eigen' or 'nlcm'")
-    p.add_argument("--fixed-entries", dest="fixed_entries",
-                   help="triplet file 'i j q' of prescribed entries (run ex2/ex3/nlcm/ex10)")
-    p.add_argument("--weighted", action="store_true",
-                   help="random symmetric weights for the long-range instance")
-    p.add_argument("--l-mode", dest="l_mode", choices=("minus-one", "random"),
-                   default="minus-one", help="planted-value mode for 'balogh'")
-    p.add_argument("--init", choices=("pca", "random"), default="pca",
-                   help="start for correlation problems")
-    p.add_argument("--uncontrolled", action="store_true",
-                   help="disable the drift-safe W-hat construction (eigen and balogh only)")
-    p.add_argument("--out", help="output path (stdout when omitted)")
-    p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+# the Stiefel problems, where every scheme runs; the others are correlation
+# problems on unit spheres, where only 'new' is built and rho and g(tau) do not act
+_STIEFEL = ("eigen", "balogh")
+
+
+def _add_problem_flags(subs, command):
+    """Add each flag of command ("run" or "compare") to the sub-parsers in subs (by
+    problem id) of the problems it acts on; the others take its default."""
+
+    def flag(acts_on, *names, groups=None, required_on=(), **kw):
+        for pid, p in subs.items():
+            if pid in acts_on:
+                (groups or {}).get(pid, p).add_argument(
+                    *names, required=pid in required_on, **kw)
+            else:
+                p.set_defaults(**{names[0][2:].replace("-", "_"): kw.get("default")})
+
+    source = {"eigen": subs["eigen"].add_mutually_exclusive_group()}  # a size or a file
+    flag(PROBLEM_IDS, "--ranks", type=_comma_list(int),
+         help="rank / column count, or a comma list of them, e.g. 5,20,50")
+    flag(("eigen", "balogh", "ex2", "ex3", "ex10"), "--n", type=int, groups=source,
+         help="problem dimension")
+    flag(("eigen", "nlcm"), "--matrix-file", groups=source, required_on=("nlcm",),
+         help="MatrixMarket/.npy/text matrix")
+    tols = ("eigen", "balogh", "ex2", "ex3", "nlcm")  # ex10's outer loop sets its own
+    flag(tols, "--eps", type=float, help="relative residual tolerance")
+    flag(tols, "--eps-x", type=float, help="iterate-change tolerance")
+    flag(tols, "--eps-f", type=float, help="value-change tolerance")
+    flag(PROBLEM_IDS, "--max-iter", type=int, help="iterations (per sub-solve if pinned)")
+    flag(PROBLEM_IDS, "--seed", type=int, default=0)
+    flag(PROBLEM_IDS, "--repeat", type=_positive_int, default=1, help="seed, seed+1, ...")
+    if command == "run":
+        flag(_STIEFEL, "--scheme", choices=SCHEME_KINDS, default="new")
+        flag(_STIEFEL, "--rho", type=float, default=0.25,
+             help="descent-direction parameter (0.25 Euclidean, 0.5 canonical)")
+        flag(_STIEFEL, "--gtau", choices=GTAU_NAMES)
+        flag(PROBLEM_IDS, "--jobs", type=_positive_int, default=1, help="parallel solves")
+        flag(PROBLEM_IDS, "--format", choices=("jsonl", "csv"), default="jsonl")
+    else:  # comma lists: every combination runs, the last one as the baseline
+        flag(_STIEFEL, "--scheme", type=_comma_list(str, SCHEME_KINDS), default="new",
+             help="comma list of scheme kinds (baseline last)")
+        flag(_STIEFEL, "--rho", type=_comma_list(float), default="0.25",
+             help="comma list of descent-direction parameters")
+        flag(_STIEFEL, "--gtau", type=_comma_list(str, GTAU_NAMES), default="linear",
+             help="comma list of g(tau) names")
+    flag(_STIEFEL, "--uncontrolled", action="store_true", default=False,
+         help="disable the drift-safe W-hat construction")
+    flag(("ex2", "ex3", "nlcm", "ex10"), "--fixed-entries",
+         help="triplet file 'i j q' of prescribed entries")
+    # ex10's outer loop starts from modified PCA
+    flag(("ex2", "ex3", "nlcm"), "--init", choices=("pca", "random"), default="pca")
+    flag(("ex3",), "--weighted", action="store_true", default=False,
+         help="random symmetric weights for the long-range instance")
+    flag(("balogh",), "--l-mode", choices=("minus-one", "random"), default="minus-one")
+    flag(PROBLEM_IDS, "--out", help="output path (stdout when omitted)")
 
 
 def _build_parser():
@@ -434,25 +460,16 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command")
 
-    run = sub.add_parser("run", allow_abbrev=False,
-                         help="solve a problem batch and emit run records")
-    run.set_defaults(handler=_cmd_run)
-    run.add_argument("--scheme", choices=SCHEME_KINDS, default="new")
-    run.add_argument("--rho", type=float, default=0.25,
-                     help="descent-direction parameter (0.25 Euclidean, 0.5 canonical)")
-    run.add_argument("--gtau", choices=GTAU_NAMES)
-    _add_common_flags(run)
-
-    comp = sub.add_parser("compare", allow_abbrev=False,
-                          help="paired comparison across configurations")
-    comp.set_defaults(handler=_cmd_compare)
-    comp.add_argument("--scheme", type=_comma_list(str, SCHEME_KINDS), default="new",
-                      help="comma list of scheme kinds (baseline last)")
-    comp.add_argument("--rho", type=_comma_list(float), default="0.25",
-                      help="comma list of descent-direction parameters")
-    comp.add_argument("--gtau", type=_comma_list(str, GTAU_NAMES), default="linear",
-                      help="comma list of g(tau) names")
-    _add_common_flags(comp)
+    # compare varies the scheme, so it takes only the problems where one acts
+    for command, handler, problems, text in (
+        ("run", _cmd_run, PROBLEM_IDS, "solve a problem batch and emit run records"),
+        ("compare", _cmd_compare, _STIEFEL, "paired comparison across configurations"),
+    ):
+        cmd = sub.add_parser(command, allow_abbrev=False, help=text)
+        cmd.set_defaults(handler=handler)
+        choose = cmd.add_subparsers(dest="problem", required=True, metavar="problem")
+        subs = {pid: choose.add_parser(pid, allow_abbrev=False) for pid in problems}
+        _add_problem_flags(subs, command)
 
     drift = sub.add_parser("drift", allow_abbrev=False,
                            help="feasibility drift: controlled vs plain W")
@@ -469,13 +486,12 @@ def _build_parser():
 def _output(args, default_name):
     """The output stream: --out (relative to $STIEFELBB_OUT_DIR when that is
     set), else default_name under $STIEFELBB_OUT_DIR, else stdout."""
-    out = getattr(args, "out", None)
     env = os.environ.get(ENV_OUT_DIR)
-    if out is None and not env:
+    if args.out is None and not env:
         yield sys.stdout
         return
     # join keeps an absolute --out as it is
-    path = os.path.join(env or "", default_name if out is None else out)
+    path = os.path.join(env or "", default_name if args.out is None else args.out)
     d = os.path.dirname(path)
     if d:
         os.makedirs(d, exist_ok=True)
@@ -503,11 +519,6 @@ def _cmd_compare(args) -> int:
         for rho in args.rho
         for g in args.gtau
     ]
-    if len(configs) < 2:
-        raise SystemExit(
-            "error: need >= 2 configurations (comma lists of --scheme/--rho/--gtau)"
-        )
-
     # every configuration solves the instance of the first rank and seed
     _, problem, x0, *_ = next(_instances(args, [args.seed]))
     seeds = range(args.seed, args.seed + args.repeat)
@@ -545,27 +556,15 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 0
-    if args.command != "drift":
-        if args.fixed_entries and args.problem in ("eigen", "balogh"):
-            parser.error(f"--fixed-entries does not apply to problem {args.problem!r}")
-        pinned = args.problem == "ex10" or args.fixed_entries
-        if pinned and args.command == "compare":
-            parser.error("compare runs the plain solver, not the outer loop of "
-                         "prescribed entries; use run")
-        if pinned and args.init == "random":
-            parser.error("--init random does not apply to prescribed entries, "
-                         "whose outer loop starts from modified PCA")
-        if pinned and (args.eps, args.eps_x, args.eps_f) != (None, None, None):
-            parser.error("--eps, --eps-x and --eps-f do not apply to prescribed "
-                         "entries, whose outer loop sets the sub-solve tolerances")
-        # the (scheme, rho, gtau) values: comma lists for compare, one each for run
-        values = (args.scheme, args.rho, args.gtau) if args.command == "compare" else (
-            [args.scheme], [args.rho], [args.gtau or "linear"])
-        if args.problem not in ("eigen", "balogh") and (
-            [set(v) for v in values] != [{"new"}, {0.25}, {"linear"}] or args.uncontrolled
-        ):
-            parser.error(f"problem {args.problem!r} (unit spheres) takes only --scheme new, "
-                         "drift-safe (no --uncontrolled) with --gtau linear and --rho 0.25")
+    if args.command == "run" and args.fixed_entries:
+        # --fixed-entries moves ex2, ex3 and nlcm to the outer loop of ex10
+        for name in ("--init", "--eps", "--eps-x", "--eps-f"):
+            value = getattr(args, name[2:].replace("-", "_"))
+            if value not in (None, "pca"):
+                parser.error(f"{name} {value} does not apply to --fixed-entries, whose "
+                             "outer loop starts from modified PCA and sets its tolerances")
+    if args.command == "compare" and len(args.scheme) * len(args.rho) * len(args.gtau) < 2:
+        parser.error("need >= 2 configurations (comma lists of --scheme/--rho/--gtau)")
     return args.handler(args)
 
 

@@ -66,8 +66,11 @@ class SolverConfig:
 
     eps is relative: the loop stops once ||D_rho|| <= eps ||D_rho(x0)||.
     seed draws the random start when x0 is omitted. The stopping window
-    WINDOW_T, REORTH_TOL for the returned point and the line-search
-    constants of stepsize are fixed.
+    WINDOW_T, REORTH_TOL for the returned point, the step cap max_turn of
+    the Stiefel geometry and the line-search constants of stepsize are fixed.
+    rho acts on the Stiefel geometry only: on the unit spheres D_rho is the
+    same for every rho, and the generalized geometry's D = G X^T H^2 X -
+    H X G^T H X is, at H = K = I, D_rho at rho = 1/2 whatever rho says.
     """
 
     rho: float = 0.25
@@ -98,8 +101,9 @@ class SolverReport:
 
     f_history holds F at the accepted iterates; f_final is F at x_final,
     which differs from f_history[-1] when the last iterate was
-    reorthogonalized before being returned. wall_time is the seconds of the
-    whole solve, from the start evaluation to f_final.
+    reorthogonalized before being returned, and residual_final is ||D|| at
+    x_final. wall_time is the seconds of the whole solve, from the start
+    evaluation to f_final.
     """
 
     x_final: np.ndarray
@@ -127,6 +131,14 @@ def _check_finite(f, d_norm, where):
 
 class _StiefelEngine:
     """Curves and bookkeeping on {X in R^{n x p} : X^T X = I_p}."""
+
+    # the cap on tau ||D||_F of each trial step after the first, i.e. the
+    # safeguard band's eps_max for this geometry (cond(J) <= 65 at 16). As
+    # tau grows the new curve turns X towards -X, where an even objective
+    # has nearly the same F; the secant pair, about (-2X, -2D), then drove
+    # the next BB step to 1.4e-12 and balogh 1000x10 (instance seed 180110,
+    # start seed 80110) stopped after 6 iterations at F = 32643, optimum -5.41
+    max_turn = 16.0
 
     def __init__(self, cfg: SolverConfig):
         self.scheme = cfg.scheme
@@ -217,6 +229,11 @@ class _SphereEngine:
     """The same loop on {V in R^{r x n} : every column has unit norm}; it
     runs only the drift-safe curve of the new scheme."""
 
+    # uncapped: tau ||D||_F <= 2 took the outer loop on ex3_matrix(200),
+    # r = 10, with sample_fixed_entries(200, 3, seed=4) from 2400 to 20013
+    # iterations
+    max_turn = math.inf
+
     def direction(self, v, g):
         vg = np.einsum("ij,ij->j", v, g)
         d = g - v * vg
@@ -241,6 +258,8 @@ class _SphereEngine:
 
 class _GeneralizedEngine:
     """The loop on {X : X^T H X = K}; BB inner products are taken directly."""
+
+    max_turn = math.inf  # uncapped: no cap has been measured on this geometry
 
     def __init__(self, cfg: SolverConfig, gc: GeneralizedConstraint):
         self.gc = gc
@@ -424,7 +443,7 @@ def iterate_once(state: SolverState) -> SolverState:
         # degenerate secant pair: fall back to the previous safeguarded step
         tau0 = state.tau1
     if d_new_norm > 0.0:
-        state.tau1 = safeguard(tau0, d_new_norm)
+        state.tau1 = min(safeguard(tau0, d_new_norm), eng.max_turn / d_new_norm)
 
     # diminishing-change tests: pointwise, then windowed means
     tol_x = math.sqrt(ss) / eng.dim_scale(state.x)
@@ -449,18 +468,20 @@ def _run(state: SolverState, t0: float) -> SolverReport:
     while not state.done:
         iterate_once(state)
     eng = state.engine
-    x_final, f_final, nfge = state.x, state.f, state.nfge
+    x_final, f_final, d_norm, nfge = state.x, state.f, state.d_norm, state.nfge
     feas = eng.feasibility(x_final)
     if feas >= REORTH_TOL:
         x_final = eng.reorthogonalize(x_final)
         feas = eng.feasibility(x_final)
-        f_final = float(state.problem.fg(x_final)[0])
+        f_final, g_final = state.problem.fg(x_final)
+        f_final = float(f_final)
+        d_norm = float(np.linalg.norm(eng.direction(x_final, g_final)[0]))
         nfge += 1
     return SolverReport(
         x_final=x_final,
         f_history=list(state.f_history),
         f_final=f_final,
-        residual_final=state.d_norm,
+        residual_final=d_norm,
         feasi=feas,
         nfge=nfge,
         iters=state.k,

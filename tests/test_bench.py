@@ -330,11 +330,36 @@ class TestCommandLine:
     )
     def test_non_new_scheme_on_sphere_problem_is_usage_error(self, argv, capsys):
         # the correlation problems run on unit spheres, where only the
-        # drift-safe 'new' curve is built and neither g(tau) nor rho acts
+        # drift-safe 'new' curve is built and neither g(tau) nor rho acts:
+        # run takes none of those flags there, and compare none of those problems
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--n", "60", "--ranks", "3"])
         assert exc.value.code == 2
-        assert "--scheme new" in capsys.readouterr().err
+        assert (argv[1] if argv[0] == "compare" else argv[2]) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["run", "eigen", "--matrix-file", "a.npy", "--n", "50"], "--n"),
+            (["run", "eigen", "--n", "20", "--ranks", "2", "--weighted", "--l-mode",
+              "random", "--init", "random"], "--weighted --l-mode random --init random"),
+            (["run", "ex10", "--n", "30", "--ranks", "2", "--weighted"], "--weighted"),
+            (["compare", "eigen", "--n", "16", "--ranks", "2", "--scheme", "qr,new",
+              "--format", "csv", "--jobs", "2"], "--format csv --jobs 2"),
+            (["run", "nlcm", "--n", "10", "--ranks", "2"], "--matrix-file"),
+            (["compare", "eigen", "--n", "16", "--ranks", "2"], "2 configurations"),
+            (["run", "balogh", "--matrix-file", "x"], "--matrix-file"),
+            (["run", "ex2", "--l-mode", "random"], "--l-mode"),
+        ],
+        ids=["eigen-n-and-file", "eigen-correlation-flags", "ex10-weighted",
+             "compare-jobs-format", "nlcm-no-file", "compare-one-config", "balogh-file",
+             "ex2-l-mode"],
+    )
+    def test_flag_on_problem_it_does_not_act_on_is_usage_error(self, argv, named, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
 
     def test_unknown_problem_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -18,6 +18,7 @@ from stiefelbb import (
     feasibility_error,
     heterogeneous_problem,
     iterate_once,
+    optimality_residual,
     prepare_state,
     random_stiefel,
     solve,
@@ -246,6 +247,13 @@ class TestReportAccounting:
             np.linalg.norm(d), rel=1e-6, abs=1e-10
         )
 
+    def test_residual_final_is_taken_at_the_reorthogonalized_point(self):
+        prob = heterogeneous_problem(1000, 10, "random", seed=100001)
+        rep = solve(prob, cfg=SolverConfig(seed=1))
+        assert rep.f_final != rep.f_history[-1]  # the last iterate was reorthogonalized
+        res = optimality_residual(rep.x_final, prob.fg(rep.x_final)[1], 0.25)
+        assert rep.residual_final == pytest.approx(res, rel=1e-14, abs=0.0)
+
     def test_feasibility_trace_tracking(self):
         prob = random_eigen(20, 3, seed=9)
         rep = solve(
@@ -416,27 +424,23 @@ class TestKnownOptimumProblem:
         assert abs(rep.f_final - (-5.0)) / 5.0 <= 1e-5
         assert rep.feasi <= 1e-13
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="stops at XtolFtol after 6 iterations, F = 32643: negative "
-        "curvature <S,Y> drives the safeguarded BB step to its floor",
-    )
     def test_random_planted_instance_reaches_optimum(self):
+        # without the cap on tau ||D|| a long step wrapped X to about -X and
+        # the run stopped at XtolFtol after 6 iterations, at F = 32643
         prob = heterogeneous_problem(1000, 10, "random", seed=180110)
         rep = solve(prob, cfg=SolverConfig(seed=80110))
         opt = prob.known_optimum
         assert abs(rep.f_final - opt) <= 1e-3 * abs(opt)
 
     def test_tiny_step_keeps_a_positive_iterate_change(self):
-        # the same run: its last step is tau = 1.4e-12, and tol_x =
-        # ||S|| / sqrt(n) is read from vdot(S, S) (4.8e-10 here), where
-        # 4p - 4 tr(J^{-1}) cancels to exactly 0
+        # tol_x = ||S|| / sqrt(n) is read from vdot(S, S), about 1e-10 after
+        # a step of tau = 1.4e-12 here, where 4p - 4 tr(J^{-1}) cancels to
+        # exactly 0
         prob = heterogeneous_problem(1000, 10, "random", seed=180110)
         state = prepare_state(prob, cfg=SolverConfig(seed=80110))
-        while not state.done:
-            iterate_once(state)
-        assert state.stop_reason == "XtolFtol" and state.k == 6
-        assert all(t > 0.0 for t in state.tolx_win)
+        state.tau1 = 1.4e-12
+        iterate_once(state)
+        assert state.k == 1 and state.tolx_win[-1] > 0.0
 
 
 class TestSphereGeometry:
