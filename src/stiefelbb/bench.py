@@ -2,10 +2,13 @@
 scheme comparisons, and the feasibility-drift demonstration, exposed both as
 functions and through the ``stiefel-bench`` command line.
 
-``stiefel-bench run`` writes one `RunRecord` per solve plus one mean row per
-configuration (JSONL or CSV) and exits 1 when any solve ended in
-``LineSearchFail``; ``compare`` writes one JSON row per configuration;
-``drift`` writes a TSV of the feasibility error per iteration. Output goes to
+``stiefel-bench run`` solves every configuration (each combination of the
+comma lists of ``--scheme``, ``--rho`` and ``--gtau``) at every rank and seed,
+writes one `RunRecord` per solve plus one mean row per configuration and rank
+(JSONL or CSV), prints the saved ratio of each mean row to stderr when more
+than one configuration runs, and exits 1 when any solve ended in
+``LineSearchFail``; ``drift`` writes a TSV of the feasibility error per
+iteration. Output goes to
 ``--out``, to a default file name under ``$STIEFELBB_OUT_DIR`` when that is
 set, or to stdout. ``wall_ms`` is the solver's own whole-solve time
 (`SolverReport.wall_time`, or `AugLagReport.wall_time` on the fixed-entry
@@ -13,6 +16,7 @@ route)."""
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -200,39 +204,33 @@ def drift_demo(n, p, steps, controlled, seed=0) -> List[float]:
     return rep.feasibility_trace[1:]
 
 
+def _saved_ratios(means: Sequence[RunRecord]) -> List[float]:
+    """The saved ratio 100 (a.nfe - a.nfe_base) / a.nfe_base of each mean row,
+    the last row being the baseline."""
+    base = means[-1].nfge
+    return [100.0 * (m.nfge - base) / base for m in means]
+
+
 def compare_schemes(problem, configs, seeds, x0=None) -> List[dict]:
     """Paired scheme comparison: every configuration solves the same problem
-    from the same per-seed starts; the last configuration is the baseline of
-    the saved-ratio statistic 100 (a.nfe - a.nfe_base) / a.nfe_base."""
-    configs = list(configs)
+    from the same per-seed starts; one row of means per configuration, with
+    its saved ratio against the last configuration."""
+    configs, seeds = list(configs), list(seeds)
     if len(configs) < 2:
         raise ValueError("need at least two configurations to compare")
-    seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    rows = []
-    for cfg in configs:
-        nfes, finals, its = [], [], []
-        for s in seeds:
-            rep = solve(problem, x0, replace(cfg, seed=int(s)))
-            nfes.append(rep.nfge)
-            finals.append(rep.f_final)
-            its.append(rep.iters)
-        m = float(len(seeds))
-        rows.append(
-            {
-                "scheme": cfg.scheme.kind,
-                "rho": cfg.rho,
-                "gtau": cfg.scheme.gtau,
-                "a_nfe": sum(nfes) / m,
-                "a_f_final": sum(finals) / m,
-                "a_iters": sum(its) / m,
-            }
-        )
-    base = rows[-1]["a_nfe"]
-    for row in rows:
-        row["a_s_ratio"] = 100.0 * (row["a_nfe"] - base) / base
-    return rows
+    # one aggregate per configuration, so identical ones keep a row each; the
+    # rows read only the configuration and the means, so n and p stay 0
+    means = [
+        aggregate_records([_record("", cfg, int(s), problem, x0, 0, 0) for s in seeds])[0]
+        for cfg in configs
+    ]
+    return [
+        dict(scheme=m.scheme, rho=m.rho, gtau=m.gtau, a_nfe=float(m.nfge),
+             a_f_final=m.f_final, a_iters=float(m.iters), a_s_ratio=ratio)
+        for m, ratio in zip(means, _saved_ratios(means))
+    ]
 
 
 # ----------------------------------------------------------------------------
@@ -250,11 +248,21 @@ def _solver_config(args, kind, rho, gtau) -> SolverConfig:
     )
 
 
+def _ranks(args, n, default):
+    """The --ranks values (default when omitted), each checked against n."""
+    ranks = args.ranks or [default]
+    for p in ranks:
+        if not 1 <= p <= n:
+            raise argparse.ArgumentTypeError(f"--ranks {p}: need 1 <= rank <= n = {n}")
+    return ranks
+
+
 def _instances(args, seeds):
-    """The solves the flags select for the given seeds, ranks outer and seeds
-    inner, as (seed, problem, x0, n, p, pins) tuples: x0 None is a seeded
-    random start and pins None the plain solver. Built lazily, one instance
-    per rank (per solve for balogh's random planted values)."""
+    """The instances the flags select for the given seeds, ranks outer and
+    seeds inner, as (seed, problem, x0, n, p, pins) tuples: x0 None is a
+    seeded random start and pins None the plain solver. Built lazily, one
+    instance per rank (per seed for balogh's random planted values), after
+    every rank has been checked against n."""
     pid = args.problem
     if pid == "eigen":
         n = args.n or 100
@@ -266,23 +274,17 @@ def _instances(args, seeds):
             rng = np.random.default_rng(args.seed)
             a = rng.standard_normal((n, n))
             a = (a + a.T) / (2.0 * np.sqrt(n))
-        for p in args.ranks or [4]:
+        for p in _ranks(args, n, 4):
             prob = TraceEigenProblem(a, p)
             for seed in seeds:
                 yield seed, prob, None, n, p, None
         return
     if pid == "balogh":
         n = args.n or 100
-        for p in args.ranks or [5]:
-            shared = (
-                heterogeneous_problem(n, p, "minus-one")
-                if args.l_mode == "minus-one"
-                else None
-            )
+        for p in _ranks(args, n, 5):
+            shared = args.l_mode == "minus-one" and heterogeneous_problem(n, p, "minus-one")
             for seed in seeds:
-                prob = shared or heterogeneous_problem(
-                    n, p, "random", seed=100000 + seed
-                )
+                prob = shared or heterogeneous_problem(n, p, "random", seed=100000 + seed)
                 yield seed, prob, None, n, p, None
         return
 
@@ -290,8 +292,9 @@ def _instances(args, seeds):
     n = args.n or (200 if pid == "ex10" else 500)
     if pid == "nlcm":
         c = load_matrix(args.matrix_file)
+        n = c.shape[0]
     fes = FixedEntrySet.from_text(args.fixed_entries) if args.fixed_entries else None
-    for r in args.ranks or [10 if pid == "ex10" else 5]:
+    for r in _ranks(args, n, 10 if pid == "ex10" else 5):
         if pid == "ex2":
             prob = gen_ex2(n, r)
         elif pid == "ex3":
@@ -306,12 +309,13 @@ def _instances(args, seeds):
             yield seed, prob, x0, prob.n, r, pins
 
 
-def _record(args, cfg, seed, problem, x0, n, p, pins) -> RunRecord:
-    """Solve one instance of `_instances` with cfg at seed and record it."""
+def _record(pid, cfg, seed, problem, x0, n, p, pins=None, sub_max_iter=None) -> RunRecord:
+    """Solve one instance of `_instances` with cfg at seed and record it under
+    problem id pid; pins route it through the outer loop, which sets the
+    sub-solve tolerances, and sub_max_iter caps each of its sub-solves."""
     cfg = replace(cfg, seed=seed)
     if pins is not None:
-        # the outer loop sets the sub-solve tolerances; --max-iter caps each sub-solve
-        budget = {} if args.max_iter is None else {"sub_max_iter": args.max_iter}
+        budget = {} if sub_max_iter is None else {"sub_max_iter": sub_max_iter}
         alr = auglag_solve(problem, pins, AugLagConfig(**budget), v0=x0)
         outcome = dict(
             stop_reason=alr.stop_reason,
@@ -339,28 +343,25 @@ def _record(args, cfg, seed, problem, x0, n, p, pins) -> RunRecord:
             iters=rep.iters,
             wall_ms=rep.wall_time * 1000.0,
         )
-    return RunRecord(
-        problem_id=args.problem,
-        n=n,
-        p=p,
-        scheme=cfg.scheme.kind,
-        rho=cfg.rho,
-        gtau=cfg.scheme.gtau,
-        seed=seed,
-        **outcome,
-    )
+    return RunRecord(problem_id=pid, n=n, p=p, scheme=cfg.scheme.kind, rho=cfg.rho,
+                     gtau=cfg.scheme.gtau, seed=seed, **outcome)
 
 
 def run_experiment(args) -> List[RunRecord]:
-    """Solve every instance the parsed flags select, one per (problem, rank,
-    repetition) and up to --jobs at once; records in instance order followed
-    by the aggregate rows."""
-    if args.gtau is not None and args.scheme not in GTAU_SENSITIVE:
-        print(f"warning: --gtau is ignored by scheme {args.scheme!r}", file=sys.stderr)
-    cfg = _solver_config(args, args.scheme, args.rho, args.gtau or "linear")
+    """Solve every configuration the parsed flags select on every (rank,
+    repetition) instance, up to --jobs at once; records in instance order,
+    the configurations paired on each instance, followed by one mean row per
+    configuration and rank."""
+    for kind in args.scheme:
+        if args.gtau is not None and kind not in GTAU_SENSITIVE:
+            print(f"warning: --gtau is ignored by scheme {kind!r}", file=sys.stderr)
+    grid = itertools.product(args.scheme, args.rho, args.gtau or ["linear"])
+    configs = [_solver_config(args, *c) for c in grid]
     seeds = range(args.seed, args.seed + args.repeat)
+    solves = ((cfg, *i) for i in _instances(args, seeds) for cfg in configs)
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        records = list(pool.map(lambda i: _record(args, cfg, *i), _instances(args, seeds)))
+        records = list(pool.map(
+            lambda job: _record(args.problem, *job, sub_max_iter=args.max_iter), solves))
     return records + aggregate_records(records)
 
 
@@ -397,9 +398,9 @@ def _positive_int(text):
 _STIEFEL = ("eigen", "balogh")
 
 
-def _add_problem_flags(subs, command):
-    """Add each flag of command ("run" or "compare") to the sub-parsers in subs (by
-    problem id) of the problems it acts on; the others take its default."""
+def _add_problem_flags(subs):
+    """Add each flag to the sub-parsers in subs (by problem id) of the problems
+    it acts on; the others take its default."""
 
     def flag(acts_on, *names, groups=None, required_on=(), **kw):
         for pid, p in subs.items():
@@ -423,20 +424,15 @@ def _add_problem_flags(subs, command):
     flag(PROBLEM_IDS, "--max-iter", type=int, help="iterations (per sub-solve if pinned)")
     flag(PROBLEM_IDS, "--seed", type=int, default=0)
     flag(PROBLEM_IDS, "--repeat", type=_positive_int, default=1, help="seed, seed+1, ...")
-    if command == "run":
-        flag(_STIEFEL, "--scheme", choices=SCHEME_KINDS, default="new")
-        flag(_STIEFEL, "--rho", type=float, default=0.25,
-             help="descent-direction parameter (0.25 Euclidean, 0.5 canonical)")
-        flag(_STIEFEL, "--gtau", choices=GTAU_NAMES)
-        flag(PROBLEM_IDS, "--jobs", type=_positive_int, default=1, help="parallel solves")
-        flag(PROBLEM_IDS, "--format", choices=("jsonl", "csv"), default="jsonl")
-    else:  # comma lists: every combination runs, the last one as the baseline
-        flag(_STIEFEL, "--scheme", type=_comma_list(str, SCHEME_KINDS), default="new",
-             help="comma list of scheme kinds (baseline last)")
-        flag(_STIEFEL, "--rho", type=_comma_list(float), default="0.25",
-             help="comma list of descent-direction parameters")
-        flag(_STIEFEL, "--gtau", type=_comma_list(str, GTAU_NAMES), default="linear",
-             help="comma list of g(tau) names")
+    # comma lists: every combination runs, the last one as each rank's baseline
+    flag(_STIEFEL, "--scheme", type=_comma_list(str, SCHEME_KINDS), default=["new"],
+         help=f"scheme kind, or a comma list of them, from {', '.join(SCHEME_KINDS)}")
+    flag(_STIEFEL, "--rho", type=_comma_list(float), default=[0.25],
+         help="descent-direction parameter (0.25 Euclidean, 0.5 canonical), or a comma list")
+    flag(_STIEFEL, "--gtau", type=_comma_list(str, GTAU_NAMES),
+         help=f"g(tau), or a comma list, from {', '.join(GTAU_NAMES)} (default linear)")
+    flag(PROBLEM_IDS, "--jobs", type=_positive_int, default=1, help="parallel solves")
+    flag(PROBLEM_IDS, "--format", choices=("jsonl", "csv"), default="jsonl")
     flag(_STIEFEL, "--uncontrolled", action="store_true", default=False,
          help="disable the drift-safe W-hat construction")
     flag(("ex2", "ex3", "nlcm", "ex10"), "--fixed-entries",
@@ -460,16 +456,11 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command")
 
-    # compare varies the scheme, so it takes only the problems where one acts
-    for command, handler, problems, text in (
-        ("run", _cmd_run, PROBLEM_IDS, "solve a problem batch and emit run records"),
-        ("compare", _cmd_compare, _STIEFEL, "paired comparison across configurations"),
-    ):
-        cmd = sub.add_parser(command, allow_abbrev=False, help=text)
-        cmd.set_defaults(handler=handler)
-        choose = cmd.add_subparsers(dest="problem", required=True, metavar="problem")
-        subs = {pid: choose.add_parser(pid, allow_abbrev=False) for pid in problems}
-        _add_problem_flags(subs, command)
+    run = sub.add_parser("run", allow_abbrev=False,
+                         help="solve a problem batch and emit run records")
+    run.set_defaults(handler=_cmd_run)
+    choose = run.add_subparsers(dest="problem", required=True, metavar="problem")
+    _add_problem_flags({pid: choose.add_parser(pid, allow_abbrev=False) for pid in PROBLEM_IDS})
 
     drift = sub.add_parser("drift", allow_abbrev=False,
                            help="feasibility drift: controlled vs plain W")
@@ -505,37 +496,17 @@ def _cmd_run(args) -> int:
         write_records(records, stream, args.format)
     singles = [r for r in records if not r.problem_id.startswith("a.")]
     fails = sum(1 for r in singles if r.stop_reason == "LineSearchFail")
-    print(
-        f"{len(singles)} solve(s), {fails} line-search failure(s)",
-        file=sys.stderr,
-    )
+    print(f"{len(singles)} solve(s), {fails} line-search failure(s)", file=sys.stderr)
+    # the mean rows follow the solves, rank by rank
+    ranks = [list(g) for _, g in itertools.groupby(records[len(singles):], lambda m: m.p)]
+    if len(records) - len(singles) > len(ranks):  # more than one configuration
+        print(f"{'p':>4} {'scheme':>9} {'rho':>6} {'gtau':>9} {'a.nfe':>10} {'a.s.ratio':>10}",
+              file=sys.stderr)
+        for means in ranks:
+            for m, ratio in zip(means, _saved_ratios(means)):
+                print(f"{m.p:>4} {m.scheme:>9} {m.rho:>6.3g} {m.gtau:>9} "
+                      f"{float(m.nfge):>10.1f} {ratio:>10.2f}", file=sys.stderr)
     return 0 if fails == 0 else 1
-
-
-def _cmd_compare(args) -> int:
-    configs = [
-        _solver_config(args, k, rho, g)
-        for k in args.scheme
-        for rho in args.rho
-        for g in args.gtau
-    ]
-    # every configuration solves the instance of the first rank and seed
-    _, problem, x0, *_ = next(_instances(args, [args.seed]))
-    seeds = range(args.seed, args.seed + args.repeat)
-    rows = compare_schemes(problem, configs, seeds, x0=x0)
-
-    with _output(args, "stiefelbb-compare.jsonl") as stream:
-        for row in rows:
-            stream.write(json.dumps(row) + "\n")
-    hdr = f"{'scheme':>9} {'rho':>6} {'gtau':>9} {'a.nfe':>10} {'a.s.ratio':>10}"
-    print(hdr, file=sys.stderr)
-    for row in rows:
-        print(
-            f"{row['scheme']:>9} {row['rho']:>6.3g} {row['gtau']:>9} "
-            f"{row['a_nfe']:>10.1f} {row['a_s_ratio']:>10.2f}",
-            file=sys.stderr,
-        )
-    return 0
 
 
 def _cmd_drift(args) -> int:
@@ -563,9 +534,10 @@ def main(argv=None) -> int:
             if value not in (None, "pca"):
                 parser.error(f"{name} {value} does not apply to --fixed-entries, whose "
                              "outer loop starts from modified PCA and sets its tolerances")
-    if args.command == "compare" and len(args.scheme) * len(args.rho) * len(args.gtau) < 2:
-        parser.error("need >= 2 configurations (comma lists of --scheme/--rho/--gtau)")
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except argparse.ArgumentTypeError as err:  # a rank outside 1..n, known once n is
+        parser.error(str(err))
 
 
 if __name__ == "__main__":

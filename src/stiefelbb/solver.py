@@ -28,6 +28,7 @@ from .retractions import (
     _literal_curve,
 )
 from .stepsize import (
+    EPS_MAX,
     LineSearchError,
     ReferenceState,
     abb,
@@ -102,14 +103,17 @@ class SolverReport:
     f_history holds F at the accepted iterates; f_final is F at x_final,
     which differs from f_history[-1] when the last iterate was
     reorthogonalized before being returned, and residual_final is ||D|| at
-    x_final. wall_time is the seconds of the whole solve, from the start
-    evaluation to f_final.
+    x_final. residual_initial is ||D|| at the start, the scale of the
+    relative stop, so residual_final / residual_initial shows how far from
+    stationarity a run stopped. wall_time is the seconds of the whole
+    solve, from the start evaluation to f_final.
     """
 
     x_final: np.ndarray
     f_history: List[float]
     f_final: float
     residual_final: float
+    residual_initial: float
     feasi: float
     nfge: int
     iters: int
@@ -132,8 +136,8 @@ def _check_finite(f, d_norm, where):
 class _StiefelEngine:
     """Curves and bookkeeping on {X in R^{n x p} : X^T X = I_p}."""
 
-    # the cap on tau ||D||_F of each trial step after the first, i.e. the
-    # safeguard band's eps_max for this geometry (cond(J) <= 65 at 16). As
+    # the safeguard band's eps_max for this geometry, the cap on tau ||D||_F
+    # of each trial step after the first (cond(J) <= 65 at 16). As
     # tau grows the new curve turns X towards -X, where an even objective
     # has nearly the same F; the secant pair, about (-2X, -2D), then drove
     # the next BB step to 1.4e-12 and balogh 1000x10 (instance seed 180110,
@@ -229,10 +233,10 @@ class _SphereEngine:
     """The same loop on {V in R^{r x n} : every column has unit norm}; it
     runs only the drift-safe curve of the new scheme."""
 
-    # uncapped: tau ||D||_F <= 2 took the outer loop on ex3_matrix(200),
-    # r = 10, with sample_fixed_entries(200, 3, seed=4) from 2400 to 20013
-    # iterations
-    max_turn = math.inf
+    # the band's EPS_MAX: tau ||D||_F <= 2 took the outer loop on
+    # ex3_matrix(200), r = 10, with sample_fixed_entries(200, 3, seed=4) from
+    # 2400 to 20013 iterations
+    max_turn = EPS_MAX
 
     def direction(self, v, g):
         vg = np.einsum("ij,ij->j", v, g)
@@ -259,7 +263,7 @@ class _SphereEngine:
 class _GeneralizedEngine:
     """The loop on {X : X^T H X = K}; BB inner products are taken directly."""
 
-    max_turn = math.inf  # uncapped: no cap has been measured on this geometry
+    max_turn = EPS_MAX  # no lower cap has been measured on this geometry
 
     def __init__(self, cfg: SolverConfig, gc: GeneralizedConstraint):
         self.gc = gc
@@ -443,7 +447,7 @@ def iterate_once(state: SolverState) -> SolverState:
         # degenerate secant pair: fall back to the previous safeguarded step
         tau0 = state.tau1
     if d_new_norm > 0.0:
-        state.tau1 = min(safeguard(tau0, d_new_norm), eng.max_turn / d_new_norm)
+        state.tau1 = safeguard(tau0, d_new_norm, eng.max_turn)
 
     # diminishing-change tests: pointwise, then windowed means
     tol_x = math.sqrt(ss) / eng.dim_scale(state.x)
@@ -482,6 +486,7 @@ def _run(state: SolverState, t0: float) -> SolverReport:
         f_history=list(state.f_history),
         f_final=f_final,
         residual_final=d_norm,
+        residual_initial=state.d0_norm,
         feasi=feas,
         nfge=nfge,
         iters=state.k,

@@ -80,12 +80,14 @@ def abb(k: int, s, y, ss: float) -> Optional[float]:
     return bb_long(s, y, ss)
 
 
-def safeguard(tau0: float, d_norm: float) -> float:
-    """Clamp a trial step into [EPS_MIN/||D||, min(EPS_MAX/||D||, DELTA_CAP)]."""
+def safeguard(tau0: float, d_norm: float, eps_max: float = EPS_MAX) -> float:
+    """Clamp a trial step into [EPS_MIN/||D||, min(eps_max/||D||, DELTA_CAP)];
+    eps_max is the band's upper edge on tau ||D||_F, EPS_MAX unless the
+    geometry caps it lower."""
     if d_norm <= 0.0:
         raise ValueError("safeguard needs ||D|| > 0 (stationary point reached)")
     lo = EPS_MIN / d_norm
-    hi = min(EPS_MAX / d_norm, DELTA_CAP)
+    hi = min(eps_max / d_norm, DELTA_CAP)
     return max(lo, min(tau0, hi))
 
 

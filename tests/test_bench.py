@@ -2,7 +2,6 @@
 command-line entry point."""
 
 import io
-import json
 import os
 import shlex
 import subprocess
@@ -239,11 +238,11 @@ class TestCommandLine:
             ["eigen", "--ranks", "2"],
             ["run", "eigen", "--config", "c.json"],
             ["run", "eigen", "--repeat", "0"],
-            ["compare", "eigen", "--rho", "0.25,0.5", "--repeat", "0"],
+            ["compare", "eigen", "--rho", "0.25,0.5"],
             ["run", "eigen", "--jobs", "0"],
         ],
         ids=["problem-flag", "p-flag", "ranks-prefix", "alias", "implicit-run",
-             "config-flag", "run-repeat-zero", "compare-repeat-zero", "run-jobs-zero"],
+             "config-flag", "run-repeat-zero", "compare-command", "run-jobs-zero"],
     )
     def test_dropped_spellings_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -262,19 +261,6 @@ class TestCommandLine:
             main(["run", *args, "--n", "30", "--ranks", "3", "--init", "random"])
         assert exc.value.code == 2
         assert "--init random" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "args", [["ex10"], ["ex3", "--fixed-entries", "pins.txt"]],
-        ids=["ex10", "fixed-entries"],
-    )
-    def test_compare_with_pins_is_usage_error(self, args, tmp_path, monkeypatch, capsys):
-        # compare runs the plain solver, which would drop the pinned entries
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "pins.txt").write_text("2 1 0.0\n3 1 0.0\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["compare", *args, "--n", "30", "--ranks", "3", "--rho", "0.25,0.5"])
-        assert exc.value.code == 2
-        assert "compare" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--eps", "--eps-x", "--eps-f"])
     @pytest.mark.parametrize(
@@ -302,7 +288,7 @@ class TestCommandLine:
         rec = read_records(str(out), "jsonl")[0]
         assert rec.iters <= 5 * AugLagConfig().max_outer
 
-    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("command", ["run"])
     @pytest.mark.parametrize("problem", ["eigen", "balogh"])
     def test_fixed_entries_on_unpinned_problem_is_usage_error(self, command, problem, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -316,26 +302,20 @@ class TestCommandLine:
         [
             ["run", "ex2", "--scheme", "lowrank"],
             ["run", "ex10", "--scheme", "qr"],
-            ["compare", "ex3", "--scheme", "new,polar"],
-            ["compare", "nlcm", "--scheme", "gp", "--rho", "0.25,0.5"],
             ["run", "ex3", "--uncontrolled"],
-            ["compare", "ex2", "--rho", "0.25,0.5", "--uncontrolled"],
             ["run", "ex3", "--gtau", "expdamped"],
-            ["compare", "ex3", "--gtau", "linear,expdamped"],
             ["run", "ex2", "--rho", "0.5"],
-            ["compare", "ex3", "--rho", "0.25,0.5"],
         ],
-        ids=["run-ex2", "run-ex10", "compare-ex3", "compare-nlcm", "run-uncontrolled",
-             "compare-uncontrolled", "run-gtau", "compare-gtau", "run-rho", "compare-rho"],
+        ids=["run-ex2", "run-ex10", "run-uncontrolled", "run-gtau", "run-rho"],
     )
     def test_non_new_scheme_on_sphere_problem_is_usage_error(self, argv, capsys):
         # the correlation problems run on unit spheres, where only the
         # drift-safe 'new' curve is built and neither g(tau) nor rho acts:
-        # run takes none of those flags there, and compare none of those problems
+        # run takes none of those flags there
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--n", "60", "--ranks", "3"])
         assert exc.value.code == 2
-        assert (argv[1] if argv[0] == "compare" else argv[2]) in capsys.readouterr().err
+        assert argv[2] in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, named",
@@ -344,22 +324,44 @@ class TestCommandLine:
             (["run", "eigen", "--n", "20", "--ranks", "2", "--weighted", "--l-mode",
               "random", "--init", "random"], "--weighted --l-mode random --init random"),
             (["run", "ex10", "--n", "30", "--ranks", "2", "--weighted"], "--weighted"),
-            (["compare", "eigen", "--n", "16", "--ranks", "2", "--scheme", "qr,new",
-              "--format", "csv", "--jobs", "2"], "--format csv --jobs 2"),
             (["run", "nlcm", "--n", "10", "--ranks", "2"], "--matrix-file"),
-            (["compare", "eigen", "--n", "16", "--ranks", "2"], "2 configurations"),
             (["run", "balogh", "--matrix-file", "x"], "--matrix-file"),
             (["run", "ex2", "--l-mode", "random"], "--l-mode"),
         ],
         ids=["eigen-n-and-file", "eigen-correlation-flags", "ex10-weighted",
-             "compare-jobs-format", "nlcm-no-file", "compare-one-config", "balogh-file",
-             "ex2-l-mode"],
+             "nlcm-no-file", "balogh-file", "ex2-l-mode"],
     )
     def test_flag_on_problem_it_does_not_act_on_is_usage_error(self, argv, named, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, rank, n",
+        [
+            (["eigen", "--n", "5", "--ranks", "8"], 8, 5),
+            (["ex3", "--n", "30", "--ranks", "5,50"], 50, 30),
+            (["balogh", "--n", "5", "--ranks", "8"], 8, 5),
+            (["eigen", "--n", "5", "--ranks", "0"], 0, 5),
+            (["eigen", "--matrix-file", "a.npy", "--ranks", "6"], 6, 5),
+            (["nlcm", "--matrix-file", "a.npy", "--ranks", "2,6"], 6, 5),
+        ],
+        ids=["eigen-above-n", "ex3-second-rank", "balogh-above-n", "eigen-zero",
+             "eigen-file", "nlcm-file"],
+    )
+    def test_rank_outside_one_to_n_is_usage_error(self, args, rank, n, tmp_path,
+                                                  monkeypatch, capsys):
+        # checked once n is known (from the matrix file for nlcm and eigen
+        # --matrix-file), before any solve runs
+        monkeypatch.chdir(tmp_path)
+        np.save(tmp_path / "a.npy", np.eye(5))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *args])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"--ranks {rank}" in captured.err and f"n = {n}" in captured.err
+        assert "solve(s)" not in captured.err and not captured.out
 
     def test_unknown_problem_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -438,23 +440,22 @@ class TestCommandLine:
             da.pop("wall_ms"), db.pop("wall_ms")
             assert da == db
 
-    def test_compare_command(self, tmp_path, capsys):
-        out = tmp_path / "cmp.jsonl"
+    def test_run_grid_has_one_mean_row_per_rank_and_configuration(self, tmp_path, capsys):
+        out = tmp_path / "grid.jsonl"
         code, _, err = self.run_main(
-            ["compare", "eigen", "--n", "16", "--ranks", "2",
-             "--scheme", "qr,new", "--repeat", "2", "--out", str(out)],
+            ["run", "eigen", "--n", "16", "--ranks", "2,3", "--scheme", "qr,new",
+             "--repeat", "2", "--out", str(out)],
             capsys,
         )
         assert code == 0
-        assert "a.s.ratio" in err
-        with open(out, "r", encoding="utf-8") as fh:
-            rows = [json.loads(line) for line in fh]
-        assert [r["scheme"] for r in rows] == ["qr", "new"]
-        assert rows[-1]["a_s_ratio"] == 0.0
-
-    def test_compare_needs_two_configs(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["compare", "eigen", "--n", "16", "--ranks", "2"])
+        assert "8 solve(s)" in err
+        means = [r for r in read_records(str(out), "jsonl") if r.stop_reason == "mean"]
+        assert [(r.p, r.scheme) for r in means] == [(2, "qr"), (2, "new"), (3, "qr"), (3, "new")]
+        # the saved-ratio table: each rank's last configuration is its baseline
+        table = err.split("a.s.ratio\n", 1)[1].splitlines()
+        assert [ln.split()[:2] for ln in table] == [["2", "qr"], ["2", "new"], ["3", "qr"],
+                                                   ["3", "new"]]
+        assert table[1].split()[-1] == table[3].split()[-1] == "0.00"
 
     def test_drift_command(self, tmp_path, capsys):
         out = tmp_path / "drift.tsv"

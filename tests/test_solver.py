@@ -2,6 +2,7 @@
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -253,6 +254,14 @@ class TestReportAccounting:
         assert rep.f_final != rep.f_history[-1]  # the last iterate was reorthogonalized
         res = optimality_residual(rep.x_final, prob.fg(rep.x_final)[1], 0.25)
         assert rep.residual_final == pytest.approx(res, rel=1e-14, abs=0.0)
+
+    def test_residual_initial_is_the_start_residual(self):
+        prob = heterogeneous_problem(1000, 10, "random", seed=100001)
+        x0 = random_stiefel(1000, 10, seed=1)
+        cfg = SolverConfig(seed=1)
+        rep = solve(prob, x0, cfg)
+        assert rep.residual_initial == solve(prob, x0, replace(cfg, max_iter=0)).residual_final
+        assert rep.residual_final < 1e-3 * rep.residual_initial
 
     def test_feasibility_trace_tracking(self):
         prob = random_eigen(20, 3, seed=9)
@@ -512,6 +521,20 @@ class TestGeneralizedSolve:
         assert res <= 1e-4 * res0
         assert max(rep.feasibility_trace) <= 1e-10
         assert gc.feasibility(rep.x_final) <= 1e-12
+
+    def test_residual_initial_is_the_start_residual(self):
+        # the instance of acceptance criterion 10
+        rng = np.random.default_rng(42)
+        b = rng.standard_normal((50, 50))
+        h = b @ b.T + 50.0 * np.eye(50)
+        gc = GeneralizedConstraint(h, np.eye(3))
+        a = rng.standard_normal((50, 50))
+        prob = TraceEigenProblem(a + a.T, 3)
+        x0 = np.linalg.solve(np.linalg.cholesky(h).T, random_stiefel(50, 3, seed=0))
+        cfg = SolverConfig(eps=1e-5, eps_x=1e-8, eps_f=1e-12, max_iter=5000)
+        rep = solve_generalized(prob, x0, gc, cfg)
+        res0 = solve_generalized(prob, x0, gc, replace(cfg, max_iter=0)).residual_final
+        assert rep.residual_initial == res0
 
     def test_stationary_start_stops_immediately(self):
         prob = TraceEigenProblem(np.diag([4.0, 3.0, 2.0, 1.0]), 2)

@@ -115,6 +115,10 @@ class TestSafeguard:
     def test_upper_clamp(self):
         assert safeguard(1e12, 1.0) == pytest.approx(1e8)
 
+    def test_geometry_upper_edge(self):
+        # a geometry's eps_max replaces EPS_MAX as the band's upper edge
+        assert safeguard(1e12, 1.0, 16.0) == 16.0
+
     def test_lower_clamp_catches_zero_trial(self):
         assert safeguard(0.0, 2.0) == pytest.approx(5e-9)
 
