@@ -7,6 +7,13 @@ vector in entry-set order. Each outer iteration minimizes
 over unit columns with the feasible BB solver, then updates the multipliers
 lambda_e <- lambda_e - mu (v_i^T v_j - q_e) and grows mu tenfold, tightening
 the subproblem tolerances on a capped geometric schedule.
+
+Each sub-solve starts where the last one stopped, in its point and in its
+step: the first trial step is the last sub-solve's safeguarded BB step over
+MU_GROWTH, since the penalty's curvature grows with mu. A cold first step
+of 0.5 / ||D_0|| in every sub-solve took 195,473 iterations instead of
+41,207 over 23 pin patterns of ex3_matrix(200), r = 10, and left two of
+them at OuterCap.
 """
 
 import time
@@ -143,8 +150,10 @@ class AugLagSubproblem(_FgProblem):
         return f + 0.5 * self.mu * float(np.vdot(r, r)), 2.0 * (v @ w)
 
 
-def _sub_config(cfg: AugLagConfig, eps, eps_x, eps_f) -> SolverConfig:
-    return SolverConfig(eps=eps, eps_x=eps_x, eps_f=eps_f, max_iter=cfg.sub_max_iter)
+def _sub_config(cfg: AugLagConfig, eps, eps_x, eps_f, tau0) -> SolverConfig:
+    return SolverConfig(
+        eps=eps, eps_x=eps_x, eps_f=eps_f, max_iter=cfg.sub_max_iter, tau0=tau0
+    )
 
 
 def auglag_solve(
@@ -175,10 +184,11 @@ def auglag_solve(
     mu_trace: List[float] = []
     sub_reports: List[SolverReport] = []
     stop_reason = "OuterCap"
+    tau0 = None  # the first sub-solve starts at 0.5 / ||D_0||
 
     for _ in range(cfg.max_outer):
         prob = AugLagSubproblem(base, fes, lam, mu)
-        rep = solve(prob, v, _sub_config(cfg, *tols))
+        rep = solve(prob, v, _sub_config(cfg, *tols, tau0))
         sub_reports.append(rep)
         v = rep.x_final
         nu = fes.violation(v)
@@ -190,6 +200,9 @@ def auglag_solve(
             stop_reason = "NuTarget"
             break
         mu *= MU_GROWTH
+        # the penalty's curvature grows with mu, so the next sub-solve starts
+        # from the last safeguarded step scaled down by the same factor
+        tau0 = rep.tau_next / MU_GROWTH
         tols = tuple(max(SHRINK * t, f) for t, f in zip(tols, EPS_FLOOR))
 
     return AugLagReport(

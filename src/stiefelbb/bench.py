@@ -18,6 +18,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -265,7 +266,7 @@ def _instances(args, seeds):
     every rank has been checked against n."""
     pid = args.problem
     if pid == "eigen":
-        n = args.n or 100
+        n = 100 if args.n is None else args.n
         if args.matrix_file:
             a = load_matrix(args.matrix_file)
             a = 0.5 * (a + a.T)
@@ -280,7 +281,7 @@ def _instances(args, seeds):
                 yield seed, prob, None, n, p, None
         return
     if pid == "balogh":
-        n = args.n or 100
+        n = 100 if args.n is None else args.n
         for p in _ranks(args, n, 5):
             shared = args.l_mode == "minus-one" and heterogeneous_problem(n, p, "minus-one")
             for seed in seeds:
@@ -289,7 +290,7 @@ def _instances(args, seeds):
         return
 
     # the low-rank correlation family
-    n = args.n or (200 if pid == "ex10" else 500)
+    n = (200 if pid == "ex10" else 500) if args.n is None else args.n
     if pid == "nlcm":
         c = load_matrix(args.matrix_file)
         n = c.shape[0]
@@ -386,11 +387,25 @@ def _comma_list(convert, choices=None):
     return parse
 
 
-def _positive_int(text):
-    """An argparse type: an integer of at least 1."""
-    if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _checked(convert, ok, expected):
+    """An argparse type: text passed through convert, a usage error naming
+    what was expected unless ok holds for the value."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "a nonnegative integer")
+_positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
 
 
 # the Stiefel problems, where every scheme runs; the others are correlation
@@ -413,21 +428,22 @@ def _add_problem_flags(subs):
     source = {"eigen": subs["eigen"].add_mutually_exclusive_group()}  # a size or a file
     flag(PROBLEM_IDS, "--ranks", type=_comma_list(int),
          help="rank / column count, or a comma list of them, e.g. 5,20,50")
-    flag(("eigen", "balogh", "ex2", "ex3", "ex10"), "--n", type=int, groups=source,
+    flag(("eigen", "balogh", "ex2", "ex3", "ex10"), "--n", type=_positive_int, groups=source,
          help="problem dimension")
     flag(("eigen", "nlcm"), "--matrix-file", groups=source, required_on=("nlcm",),
          help="MatrixMarket/.npy/text matrix")
     tols = ("eigen", "balogh", "ex2", "ex3", "nlcm")  # ex10's outer loop sets its own
-    flag(tols, "--eps", type=float, help="relative residual tolerance")
-    flag(tols, "--eps-x", type=float, help="iterate-change tolerance")
-    flag(tols, "--eps-f", type=float, help="value-change tolerance")
-    flag(PROBLEM_IDS, "--max-iter", type=int, help="iterations (per sub-solve if pinned)")
+    flag(tols, "--eps", type=_positive_float, help="relative residual tolerance")
+    flag(tols, "--eps-x", type=_positive_float, help="iterate-change tolerance")
+    flag(tols, "--eps-f", type=_positive_float, help="value-change tolerance")
+    flag(PROBLEM_IDS, "--max-iter", type=_nonnegative_int,
+         help="iterations (per sub-solve if pinned)")
     flag(PROBLEM_IDS, "--seed", type=int, default=0)
     flag(PROBLEM_IDS, "--repeat", type=_positive_int, default=1, help="seed, seed+1, ...")
     # comma lists: every combination runs, the last one as each rank's baseline
     flag(_STIEFEL, "--scheme", type=_comma_list(str, SCHEME_KINDS), default=["new"],
          help=f"scheme kind, or a comma list of them, from {', '.join(SCHEME_KINDS)}")
-    flag(_STIEFEL, "--rho", type=_comma_list(float), default=[0.25],
+    flag(_STIEFEL, "--rho", type=_comma_list(_positive_float), default=[0.25],
          help="descent-direction parameter (0.25 Euclidean, 0.5 canonical), or a comma list")
     flag(_STIEFEL, "--gtau", type=_comma_list(str, GTAU_NAMES),
          help=f"g(tau), or a comma list, from {', '.join(GTAU_NAMES)} (default linear)")

@@ -193,14 +193,20 @@ class TestAugLagSolve:
         assert rep.nfge_total == sum(r.nfge for r in rep.sub_reports)
         assert rep.iters_total == sum(r.iters for r in rep.sub_reports)
         assert rep.theta_final == pytest.approx(base.value(rep.v_final), rel=1e-15)
-        # independent oracle: warm-started pure-penalty continuation to mu=1e10
+        # independent oracle: warm-started pure-penalty continuation to mu=1e10,
+        # each solve starting from the last one's step over the growth of mu,
+        # as the outer loop does (the problem is nonconvex, and a cold first
+        # step leads the continuation to a different stationary point)
         v = modified_pca_init(base.c, base.r)
         zero = np.zeros(len(fes))
+        tau0 = None
         for i in range(11):
             sub = AugLagSubproblem(base, fes, zero, 10.0**i)
-            v = solve(
-                sub, v, SolverConfig(eps=1e-5, eps_x=1e-5, eps_f=1e-8, max_iter=2000)
-            ).x_final
+            r = solve(
+                sub, v,
+                SolverConfig(eps=1e-5, eps_x=1e-5, eps_f=1e-8, max_iter=2000, tau0=tau0),
+            )
+            v, tau0 = r.x_final, r.tau_next / 10.0
         theta_pen = base.value(v)
         assert abs(rep.theta_final - theta_pen) <= 1e-3 * max(1.0, abs(theta_pen))
 
@@ -212,6 +218,32 @@ class TestAugLagSolve:
         assert rep.nu_final <= 3e-8
         assert rep.nu_trace[0] > 1.0  # starts badly violated
         assert rep.nu_final < rep.nu_trace[0] * 1e-6
+
+    @pytest.mark.parametrize("pins_seed", [12, 10007])
+    def test_carried_step_reaches_target_on_corr_auglag_patterns(self, pins_seed):
+        # with a cold first step in every sub-solve both patterns ended at
+        # OuterCap, growing mu after sub-solves that stopped at MaxIter
+        base = LowRankCorrProblem(ex3_matrix(200), 10)
+        fes = sample_fixed_entries(200, 3, seed=pins_seed)
+        rep = auglag_solve(base, fes, v0=modified_pca_init(base.c, 10))
+        assert rep.stop_reason == "NuTarget"
+        assert all(r.stop_reason != "LineSearchFail" for r in rep.sub_reports)
+        assert max(r.feasi for r in rep.sub_reports) <= 1e-12
+
+    def test_sub_solves_start_from_the_carried_step(self, monkeypatch):
+        base, fes = synthetic_weak_instance()
+        cfgs = []
+
+        def spy(prob, v, cfg):
+            cfgs.append(cfg)
+            return solve(prob, v, cfg)
+
+        monkeypatch.setattr(auglag, "solve", spy)
+        rep = auglag_solve(base, fes)
+        assert cfgs[0].tau0 is None
+        assert [c.tau0 for c in cfgs[1:]] == [
+            r.tau_next / auglag.MU_GROWTH for r in rep.sub_reports[:-1]
+        ]
 
     def test_single_outer_multiplier_update(self):
         base, fes = synthetic_weak_instance()

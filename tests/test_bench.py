@@ -250,6 +250,49 @@ class TestCommandLine:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["eigen", "--n", "0"], "--n"),
+            (["eigen", "--n", "-3"], "--n"),
+            (["ex2", "--n", "0"], "--n"),
+            (["ex10", "--n", "0"], "--n"),
+            (["balogh", "--n", "0"], "--n"),
+            (["eigen", "--n", "20", "--ranks", "2", "--rho", "0"], "--rho"),
+            (["balogh", "--n", "20", "--ranks", "2", "--rho", "0.25,-1"], "--rho"),
+            (["eigen", "--n", "20", "--ranks", "2", "--max-iter", "-1"], "--max-iter"),
+            (["ex10", "--n", "30", "--ranks", "2", "--max-iter", "-1"], "--max-iter"),
+            (["eigen", "--n", "20", "--ranks", "2", "--eps", "0"], "--eps"),
+            (["ex3", "--n", "20", "--ranks", "2", "--eps-x", "-0.001"], "--eps-x"),
+            (["eigen", "--n", "20", "--ranks", "2", "--eps-f", "0"], "--eps-f"),
+            (["eigen", "--n", "20", "--ranks", "2", "--eps", "nan"], "--eps"),
+        ],
+        ids=["eigen-n-zero", "eigen-n-negative", "ex2-n-zero", "ex10-n-zero",
+             "balogh-n-zero", "rho-zero", "rho-list-negative", "max-iter-negative",
+             "ex10-max-iter-negative", "eps-zero", "eps-x-negative", "eps-f-zero",
+             "eps-nan"],
+    )
+    def test_out_of_range_number_is_usage_error(self, args, flag, capsys):
+        # checked at parse time, before any solve: exit 1 is kept for a
+        # LineSearchFail solve
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *args])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}:" in captured.err
+        assert "solve(s)" not in captured.err and not captured.out
+
+    def test_zero_max_iter_is_a_valid_budget(self, tmp_path, capsys):
+        out = tmp_path / "recs.jsonl"
+        code, _, _ = self.run_main(
+            ["run", "eigen", "--n", "20", "--ranks", "2", "--max-iter", "0",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        rec = read_records(str(out), "jsonl")[0]
+        assert (rec.iters, rec.stop_reason) == (0, "MaxIter")
+
+    @pytest.mark.parametrize(
         "args", [["ex10"], ["ex3", "--fixed-entries", "pins.txt"]],
         ids=["ex10", "fixed-entries"],
     )

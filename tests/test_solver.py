@@ -78,6 +78,38 @@ class TestConfig:
         with pytest.raises(TypeError):
             SolverConfig(scheme="polar")
 
+    @pytest.mark.parametrize("tau0", [0.0, -1e-3, math.nan, math.inf])
+    def test_tau0_must_be_positive_and_finite(self, tau0):
+        with pytest.raises(ValueError, match="tau0"):
+            SolverConfig(tau0=tau0)
+
+
+class TestFirstStep:
+    def test_tau0_is_the_first_trial_step(self):
+        prob = random_eigen(25, 3, seed=11)
+        x0 = random_stiefel(25, 3, seed=11)
+        assert prepare_state(prob, x0, SolverConfig(tau0=0.125)).tau1 == 0.125
+        cold = prepare_state(prob, x0, SolverConfig())
+        assert cold.tau1 == 0.5 / cold.d0_norm
+
+    def test_default_first_step_is_the_cold_start_bit_for_bit(self):
+        # tau0=None takes 0.5 / ||D_0||: the same solve as that step given
+        prob = heterogeneous_problem(1000, 10, "random", seed=100001)
+        x0 = random_stiefel(1000, 10, seed=1)
+        a = solve(prob, x0, SolverConfig(tau0=None))
+        b = solve(prob, x0, SolverConfig(tau0=0.5 / a.residual_initial))
+        assert a.f_history == b.f_history
+        np.testing.assert_array_equal(a.x_final, b.x_final)
+        assert (a.iters, a.nfge, a.stop_reason) == (b.iters, b.nfge, b.stop_reason)
+        assert a.tau_next == b.tau_next
+
+    @pytest.mark.parametrize("max_iter", [0, 3, 3000])
+    def test_tau_next_is_a_positive_finite_step(self, max_iter):
+        prob = random_eigen(25, 3, seed=11)
+        x0 = random_stiefel(25, 3, seed=11)
+        rep = solve(prob, x0, SolverConfig(max_iter=max_iter))
+        assert math.isfinite(rep.tau_next) and rep.tau_next > 0.0
+
 
 class TestEigenSolve:
     def test_small_diagonal_reaches_top_invariant_subspace(self):
