@@ -11,8 +11,8 @@ the subproblem tolerances on a capped geometric schedule.
 Each sub-solve starts where the last one stopped, in its point and in its
 step: the first trial step is the last sub-solve's safeguarded BB step over
 MU_GROWTH, since the penalty's curvature grows with mu. A cold first step
-of 0.5 / ||D_0|| in every sub-solve took 195,473 iterations instead of
-41,207 over 23 pin patterns of ex3_matrix(200), r = 10, and left two of
+of 0.5 / ||D_0|| in every sub-solve took 152,739 iterations instead of
+39,666 over 23 pin patterns of ex3_matrix(200), r = 10, and left one of
 them at OuterCap.
 """
 

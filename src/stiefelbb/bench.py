@@ -481,9 +481,9 @@ def _build_parser():
     drift = sub.add_parser("drift", allow_abbrev=False,
                            help="feasibility drift: controlled vs plain W")
     drift.set_defaults(handler=_cmd_drift)
-    drift.add_argument("--n", type=int, default=2000)
-    drift.add_argument("--p", type=int, default=6)
-    drift.add_argument("--steps", type=int, default=2000)
+    drift.add_argument("--n", type=_positive_int, default=2000)
+    drift.add_argument("--p", type=_positive_int, default=6)
+    drift.add_argument("--steps", type=_nonnegative_int, default=2000)
     drift.add_argument("--seed", type=int, default=0)
     drift.add_argument("--out", help="output path (stdout when omitted)")
     return parser
@@ -526,6 +526,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_drift(args) -> int:
+    if args.p > args.n:
+        raise argparse.ArgumentTypeError(f"--p {args.p}: need p <= n = {args.n}")
     controlled = drift_demo(args.n, args.p, args.steps, True, seed=args.seed)
     plain = drift_demo(args.n, args.p, args.steps, False, seed=args.seed)
     with _output(args, "stiefelbb-drift.tsv") as stream:
@@ -552,7 +554,7 @@ def main(argv=None) -> int:
                              "outer loop starts from modified PCA and sets its tolerances")
     try:
         return args.handler(args)
-    except argparse.ArgumentTypeError as err:  # a rank outside 1..n, known once n is
+    except argparse.ArgumentTypeError as err:  # a rank or p above n, known once n is
         parser.error(str(err))
 
 

@@ -54,9 +54,9 @@ STOP_REASONS = ("ResidualRel", "XtolFtol", "WindowedMeans", "MaxIter", "LineSear
 START_FEAS_TOL = 1e-6
 # a returned point at or beyond this feasibility error is reorthogonalized;
 # the fixed-entry outer loop starts each sub-solve from the last returned
-# point, and at 1e-13 it needs 1,244 iterations instead of 1,621 on
-# ex3_matrix(200), r = 10, with sample_fixed_entries(200, 3, seed=0), and
-# 39,834 instead of 41,207 over 23 such pin patterns (seeds 0-19, 10001,
+# point, and at 1e-13 it needs 891 iterations instead of 1,164 on
+# ex3_matrix(200), r = 10, with sample_fixed_entries(200, 3, seed=0), but
+# 40,116 instead of 39,666 over 23 such pin patterns (seeds 0-19, 10001,
 # 10002, 10007): roundoff-level noise in the counts, not a dependence
 REORTH_TOL = 1e-14
 # T: the windowed-means stop averages the last T iterate and value changes
@@ -212,33 +212,18 @@ class _SphereCurve:
     For a single sphere D_rho = G - v v^T G for every rho, and the
     g(tau) v^T E block of J is a 1x1 skew matrix, i.e. exactly zero, so J is
     the diagonal J_i = 1 + tau^2/4 ||w_i||^2 whatever rho and g(tau).
-
-    It alone keeps the <S,S> = 4n - 4 sum_i 1/J_i shortcut. The direct
-    vdot(S, S) moves the auglag path at roundoff: 39,666 iterations instead
-    of 41,207 over 23 pin patterns of ex3_matrix(200), r = 10, and 1,164
-    instead of 1,621 on pattern 0, the corr-auglag benchmark instance, while
-    the weak-pairs oracle test still agrees within 3e-8. The shortcut is
-    also the retractions.trace_jinv layer that benchmark/tracing.py times.
     """
 
     def __init__(self, v, w):
         self.v = v
         self.w = w
         self.wsq = np.einsum("ij,ij->j", w, w)
-        self._j = None
 
     def eval(self, tau):
-        j = 1.0 + (0.25 * tau * tau) * self.wsq
-        if not np.isfinite(j).all() or (j == 0.0).any():
+        j = 1.0 + (0.25 * tau * tau) * self.wsq  # >= 1 wherever finite
+        if not np.isfinite(j).all():
             raise np.linalg.LinAlgError("diagonal J numerically singular")
-        y = (2.0 * self.v + tau * self.w) / j - self.v
-        self._j = j
-        return y
-
-    def trace_jinv(self) -> float:
-        if self._j is None:
-            raise ValueError("curve not evaluated yet")
-        return float((1.0 / self._j).sum())
+        return (2.0 * self.v + tau * self.w) / j - self.v
 
 
 class _SphereEngine:
@@ -248,8 +233,9 @@ class _SphereEngine:
     # the band's EPS_MAX: with a cold first step in every sub-solve,
     # tau ||D||_F <= 2 took the outer loop on ex3_matrix(200), r = 10, with
     # sample_fixed_entries(200, 3, seed=4) from 2400 to 20013 iterations;
-    # with the carried step it takes 38,457 iterations and 49,764 nfge
-    # against 41,207 and 49,898 over 23 such pin patterns, too close to choose
+    # with the carried step it takes 37,101 iterations and 46,893 nfge
+    # against 39,666 and 49,416 over 23 such pin patterns; REORTH_TOL = 1e-13
+    # alone moves those to 40,116 and 46,665, so the gap is too close to choose
     max_turn = EPS_MAX
 
     def direction(self, v, g):
@@ -443,14 +429,11 @@ def iterate_once(state: SolverState) -> SolverState:
     # reference value recurrence
     update_reference(state.ref, f_new)
 
-    # secant pair S, Y and <S,S> = vdot(S, S), positive even after a tiny
-    # step; only the sphere curve keeps 4n - 4 sum_i 1/J_i (see _SphereCurve)
+    # secant pair S, Y and <S,S>, taken directly on every geometry: the
+    # closed form 4p - 4 tr(J^{-1}) cancels to 0 after a tiny step
     s = y - state.x
     yd = d_new - state.d
-    if hasattr(curve, "trace_jinv"):
-        ss = max(4.0 * s.shape[1] - 4.0 * curve.trace_jinv(), 0.0)
-    else:
-        ss = float(np.vdot(s, s))
+    ss = float(np.vdot(s, s))
 
     f_prev = state.f
     state.x, state.f, state.g = y, f_new, g_new

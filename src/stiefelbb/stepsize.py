@@ -52,10 +52,10 @@ class LineSearchError(RuntimeError):
 
 
 def bb_long(s, y, ss: float) -> Optional[float]:
-    """Long BB step <S,S>/|<S,Y>|, with ss = <S,S> from the caller; None when
-    the denominator is degenerate."""
+    """Long BB step <S,S>/|<S,Y>|, with ss = <S,S> from the caller (its root
+    is ||S|| in the degeneracy scale); None when the denominator is degenerate."""
     sy = abs(float(np.vdot(s, y)))
-    scale = float(np.linalg.norm(s)) * float(np.linalg.norm(y))
+    scale = math.sqrt(ss) * float(np.linalg.norm(y))
     if sy <= DEGENERATE_REL * scale or sy == 0.0:
         return None
     return ss / sy

@@ -512,6 +512,24 @@ class TestCommandLine:
         assert len(lines) == 6
         assert lines[1].split("\t")[0] == "1"
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--n", "0"], "argument --n:"),
+            (["--p", "0"], "argument --p:"),
+            (["--steps", "-1"], "argument --steps:"),
+            (["--n", "20", "--p", "30"], "--p 30: need p <= n = 20"),
+        ],
+        ids=["n-zero", "p-zero", "steps-negative", "p-above-n"],
+    )
+    def test_drift_out_of_range_is_usage_error(self, args, message, capsys):
+        # rejected before the demo runs a single step
+        with pytest.raises(SystemExit) as exc:
+            main(["drift", *args])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and not captured.out
+
     def test_fixed_entries_route_runs_outer_loop(self, tmp_path, capsys):
         entries = tmp_path / "fes.txt"
         entries.write_text("5 1 0.0\n9 2 0.0\n")

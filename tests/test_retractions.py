@@ -615,17 +615,6 @@ class TestReevaluate:
             fresh = scheme_curve(kind, x, g).eval(0.3)
             np.testing.assert_allclose(again, fresh, atol=1e-13, err_msg=kind)
 
-    def test_missing_cache_rejected(self):
-        # the sphere curve's sum_i 1/J_i reads the J cached by the last
-        # successful evaluation
-        curve = TestInverseCurves.sphere_curve()
-        with pytest.raises(ValueError):
-            curve.trace_jinv()
-        with pytest.raises(np.linalg.LinAlgError):
-            curve.eval(1e200)
-        with pytest.raises(ValueError):
-            curve.trace_jinv()
-
 
 class TestCrossSchemeProperties:
     def test_feasibility_sweep(self):

@@ -17,8 +17,10 @@ from stiefelbb import (
     TraceEigenProblem,
     compute_d_rho,
     feasibility_error,
+    gen_ex2,
     heterogeneous_problem,
     iterate_once,
+    modified_pca_init,
     optimality_residual,
     prepare_state,
     random_stiefel,
@@ -474,14 +476,18 @@ class TestKnownOptimumProblem:
         assert abs(rep.f_final - opt) <= 1e-3 * abs(opt)
 
     def test_tiny_step_keeps_a_positive_iterate_change(self):
-        # tol_x = ||S|| / sqrt(n) is read from vdot(S, S), about 1e-10 after
-        # a step of tau = 1.4e-12 here, where 4p - 4 tr(J^{-1}) cancels to
-        # exactly 0
-        prob = heterogeneous_problem(1000, 10, "random", seed=180110)
-        state = prepare_state(prob, cfg=SolverConfig(seed=80110))
-        state.tau1 = 1.4e-12
-        iterate_once(state)
-        assert state.k == 1 and state.tolx_win[-1] > 0.0
+        # tol_x is read from vdot(S, S), about 1e-10 after these tiny steps,
+        # where 4p - 4 tr(J^{-1}) (4n - 4 sum_i 1/J_i on the unit spheres)
+        # cancels to exactly 0
+        balogh = heterogeneous_problem(1000, 10, "random", seed=180110)
+        corr = gen_ex2(60, 3)
+        for state, tau in (
+            (prepare_state(balogh, cfg=SolverConfig(seed=80110)), 1.4e-12),
+            (prepare_state(corr, modified_pca_init(corr.c, 3)), 1e-10),
+        ):
+            state.tau1 = tau
+            iterate_once(state)
+            assert state.k == 1 and state.tolx_win[-1] > 0.0
 
 
 class TestSphereGeometry:

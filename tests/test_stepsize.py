@@ -23,7 +23,6 @@ from stiefelbb import (
     safeguard,
     update_reference,
 )
-from stiefelbb.solver import _SphereEngine
 from stiefelbb.stepsize import (
     DELTA,
     DELTA_CAP,
@@ -73,23 +72,6 @@ class TestBBSteps:
         y = np.zeros_like(s)
         assert bb_short(s, y) is None
         assert bb_long(s, y, ss(s)) is None
-
-    def test_trace_shortcut_matches_direct_inner_product(self):
-        # after a step of the sphere curve, <S,S> can be read off its cached
-        # diagonal J: <S,S> = 4n - 4 sum_i 1/J_i
-        rng = np.random.default_rng(3)
-        engine = _SphereEngine()
-        for trial in range(10):
-            r, n = 3, 12
-            v = rng.standard_normal((r, n))
-            v /= np.linalg.norm(v, axis=0)
-            g = rng.standard_normal((r, n))
-            d, vg = engine.direction(v, g)
-            curve, _ = engine.curve_and_slope(v, g, d, vg)
-            tau = float(rng.uniform(0.1, 1.5)) / np.linalg.norm(d)
-            s = curve.eval(tau) - v
-            shortcut = 4.0 * n - 4.0 * curve.trace_jinv()
-            assert shortcut == pytest.approx(ss(s), rel=1e-10, abs=1e-14)
 
 
 class TestABB:
