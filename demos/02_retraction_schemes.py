@@ -7,14 +7,15 @@ feasible iterate is built from the descent direction differs.
 import numpy as np
 
 from stiefelbb import (
+    GTAU_NAMES,
+    GTAU_SENSITIVE,
+    SCHEME_KINDS,
     RetractionScheme,
     SolverConfig,
     TraceEigenProblem,
     random_stiefel,
     solve,
 )
-
-KINDS = ("new", "polar", "qr", "gp", "wenyin", "geodesic", "lowrank")
 
 
 def main():
@@ -29,11 +30,11 @@ def main():
     print(f"n = {n}, p = {p}, exact minimum = {target:.8f}")
     print(f"{'scheme':>10} {'gtau':>10} {'f_final':>14} {'feasi':>9} "
           f"{'nfge':>5} {'iters':>5} {'stop':>14}")
-    for kind in KINDS:
-        gtaus = ("linear", "expdamped") if kind == "new" else (None,)
+    for kind in SCHEME_KINDS:
+        # g(tau) acts only on the kinds in GTAU_SENSITIVE
+        gtaus = GTAU_NAMES if kind in GTAU_SENSITIVE else (None,)
         for gtau in gtaus:
-            scheme = (RetractionScheme(kind=kind, gtau=gtau)
-                      if gtau else RetractionScheme(kind=kind))
+            scheme = RetractionScheme(kind=kind, gtau=gtau or "linear")
             rep = solve(prob, x0, SolverConfig(scheme=scheme))
             print(f"{kind:>10} {gtau or '-':>10} {rep.f_final:>14.8f} "
                   f"{rep.feasi:>9.1e} {rep.nfge:>5} {rep.iters:>5} "

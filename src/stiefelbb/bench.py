@@ -187,17 +187,17 @@ def _tridiag_mul(x):
 
 
 def drift_demo(n, p, steps, controlled, seed=0) -> List[float]:
-    """Feasibility error per iteration over a fixed-length run of the new
-    scheme (controlled W-hat vs plain W) on a clustered-spectrum symmetric
-    problem. Returns one value per completed iteration (empty for steps=0)."""
+    """Feasibility error per iteration over up to `steps` iterations of the
+    "new" (controlled) or the "literal" kind on a clustered-spectrum problem;
+    "literal" may stop early at LineSearchFail. One value per iteration."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     prob = TraceEigenProblem(_tridiag_mul, p, n=n)
     x0 = random_stiefel(n, p, seed)
     cfg = SolverConfig(
-        scheme=RetractionScheme("new", "linear", feasibility_control=bool(controlled)),
+        scheme=RetractionScheme("new" if controlled else "literal"),
+        eps=0.0, eps_x=0.0, eps_f=0.0,  # stop only on an exact zero or stall
         max_iter=steps,
-        check_convergence=False,
         track_feasibility=True,
         seed=seed,
     )
@@ -244,7 +244,7 @@ def _solver_config(args, kind, rho, gtau) -> SolverConfig:
     tols = {k: getattr(args, k) for k in ("eps", "eps_x", "eps_f", "max_iter")}
     return SolverConfig(
         rho=rho,
-        scheme=RetractionScheme(kind, gtau, feasibility_control=not args.uncontrolled),
+        scheme=RetractionScheme(kind, gtau),
         **{k: v for k, v in tols.items() if v is not None},
     )
 
@@ -449,8 +449,6 @@ def _add_problem_flags(subs):
          help=f"g(tau), or a comma list, from {', '.join(GTAU_NAMES)} (default linear)")
     flag(PROBLEM_IDS, "--jobs", type=_positive_int, default=1, help="parallel solves")
     flag(PROBLEM_IDS, "--format", choices=("jsonl", "csv"), default="jsonl")
-    flag(_STIEFEL, "--uncontrolled", action="store_true", default=False,
-         help="disable the drift-safe W-hat construction")
     flag(("ex2", "ex3", "nlcm", "ex10"), "--fixed-entries",
          help="triplet file 'i j q' of prescribed entries")
     # ex10's outer loop starts from modified PCA
@@ -479,7 +477,7 @@ def _build_parser():
     _add_problem_flags({pid: choose.add_parser(pid, allow_abbrev=False) for pid in PROBLEM_IDS})
 
     drift = sub.add_parser("drift", allow_abbrev=False,
-                           help="feasibility drift: controlled vs plain W")
+                           help="feasibility drift: the new kind vs the literal kind")
     drift.set_defaults(handler=_cmd_drift)
     drift.add_argument("--n", type=_positive_int, default=2000)
     drift.add_argument("--p", type=_positive_int, default=6)

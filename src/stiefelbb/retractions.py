@@ -3,10 +3,10 @@
 Every scheme maps a point X and a direction to a curve Y(tau) that stays
 feasible for all tau >= 0 and leaves X with a prescribed initial velocity.
 Each retract_<kind> builder checks its inputs and returns the curve object
-the solver's engines build: curve.eval(tau) gives Y(tau), and the
-tau-independent blocks formed at construction are reused by every
-evaluation, so backtracking over tau costs only the small tau-dependent
-work.
+the solver's engines build for that kind (retract_new: the "literal" kind).
+curve.eval(tau) gives Y(tau), and the tau-independent blocks formed at
+construction are reused by every evaluation, so backtracking over tau costs
+only the small tau-dependent work.
 """
 
 import math
@@ -37,9 +37,9 @@ __all__ = [
 
 GTAU_NAMES = ("linear", "expdamped")
 
-# kinds whose J(tau) contains the g(tau) X^T E term ("new" on X^T X = I and
-# X^T H X = K; on unit spheres that term is zero); gtau is ignored elsewhere
-GTAU_SENSITIVE = ("new",)
+# kinds whose J(tau) contains the g(tau) X^T E term (on unit spheres that
+# term is zero); gtau is ignored elsewhere
+GTAU_SENSITIVE = ("new", "literal")
 
 
 def _g_linear(tau):
@@ -112,8 +112,8 @@ class _NewCurve:
 
 
 def _literal_curve(x, e, gtau):
-    """The Stiefel new curve with its formulas taken as written: W = X X^T E - E
-    and the J block X^T E. Off the manifold both feed the drift back into Y."""
+    """The "literal" kind: the Stiefel new curve with its formulas as written,
+    W = X X^T E - E and the J block X^T E. Off the manifold both feed drift back."""
     xte = x.T @ e
     w = x @ xte - e
     return _NewCurve(x, e, w, w.T @ w, xte, gtau)
@@ -121,6 +121,9 @@ def _literal_curve(x, e, gtau):
 
 def retract_new(x, e, gtau="linear"):
     """The update scheme Y(tau) = (2X + tau W) J^{-1} - X, W = -(I - X X^T) E.
+
+    This is the "literal" kind's curve. The solver's "new" kind re-anchors it
+    (J block from G, W through (X^T X)^{-1}); on the manifold they are equal.
 
     Parameters
     ----------
@@ -305,8 +308,8 @@ def retract_lowrank_column(x, g):
     return _LowRankCurve(*_checked_pair(x, g, "G"))
 
 
-# the curve class of each Stiefel kind but "new" (whose W and J blocks the
-# solver's engine builds itself); SCHEME_KINDS keeps this order
+# the curve class of each Stiefel kind but "new" and "literal" (whose W and J
+# blocks the solver's engine builds itself); SCHEME_KINDS keeps this order
 _CURVES = {
     "polar": _PolarCurve,
     "qr": _QrCurve,
@@ -315,22 +318,21 @@ _CURVES = {
     "geodesic": _GeodesicCurve,
     "lowrank": _LowRankCurve,
 }
-SCHEME_KINDS = ("new", *_CURVES)
+SCHEME_KINDS = ("new", "literal", *_CURVES)
 
 
 @dataclass(frozen=True)
 class RetractionScheme:
-    """A scheme family member: kind, g(tau) choice, and feasibility control.
+    """A scheme family member: its kind and g(tau) choice.
 
-    feasibility_control selects the drift-safe W-hat construction inside the
-    solver loop; it has no effect on kinds other than "new". The sphere and
-    generalized geometries have only the drift-safe curve and reject
-    feasibility_control=False; on the spheres gtau does not act.
+    "new" is the drift-safe construction of the new scheme; "literal" takes
+    the same formulas as written, so feasibility error feeds back into the
+    iterates. gtau acts on GTAU_SENSITIVE only. The sphere and generalized
+    geometries run only "new", and on the spheres gtau does not act.
     """
 
     kind: str = "new"
     gtau: str = "linear"
-    feasibility_control: bool = True
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:

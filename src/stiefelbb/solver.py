@@ -68,7 +68,8 @@ class SolverConfig:
     """Tunables of the descent loop; defaults match the recommended setting.
 
     eps is relative: the loop stops once ||D_rho|| <= eps ||D_rho(x0)||.
-    seed draws the random start when x0 is omitted. tau0 is the first trial
+    A zero eps, eps_x or eps_f fires only on an exact zero or stall. seed
+    draws the random start when x0 is omitted. tau0 is the first trial
     step; None takes 0.5 / ||D_rho(x0)||. The stopping window
     WINDOW_T, REORTH_TOL for the returned point, the step cap max_turn of
     the Stiefel geometry and the line-search constants of stepsize are fixed.
@@ -84,7 +85,6 @@ class SolverConfig:
     eps_f: float = 1e-8
     max_iter: int = 3000
     seed: Optional[int] = None
-    check_convergence: bool = True
     track_feasibility: bool = False
     tau0: Optional[float] = None
 
@@ -94,8 +94,8 @@ class SolverConfig:
         if self.rho <= 0.0:
             raise ValueError("rho must be positive")
         for name in ("eps", "eps_x", "eps_f"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be nonnegative")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
         if self.tau0 is not None and not (math.isfinite(self.tau0) and self.tau0 > 0.0):
@@ -167,7 +167,7 @@ class _StiefelEngine:
         for the curves that leave X along -D_rho, -slope_inner for those
         built from G."""
         kind = self.scheme.kind
-        if kind == "new" and self.scheme.feasibility_control:
+        if kind == "new":
             # drift-safe variant: the J block takes the expression
             # 2 rho (X^T G - G^T X), which equals X^T D_rho on the
             # manifold and is skew for ANY X, so it never feeds
@@ -180,13 +180,12 @@ class _StiefelEngine:
             xte = (2.0 * self.rho) * (xtg - xtg.T)
             w = x @ np.linalg.solve(x.T @ x, x.T @ d) - d
             curve = _NewCurve(x, d, w, w.T @ w, xte, self.scheme.gtau)
-        elif kind == "new":
-            # plain variant, formulas evaluated as written: both the
-            # projection W = -(I - X X^T) D_rho and the J block X^T D_rho
-            # are taken literally.  Once X drifts, X^T W = (X^T X - I)
-            # X^T D != 0 and sym(X^T D) != 0, and both feed the drift
-            # back into the next iterate, so orthonormality error grows
-            # along the run.
+        elif kind == "literal":
+            # formulas evaluated as written: both the projection
+            # W = -(I - X X^T) D_rho and the J block X^T D_rho are taken
+            # literally.  Once X drifts, X^T W = (X^T X - I) X^T D != 0 and
+            # sym(X^T D) != 0, and both feed the drift back into the next
+            # iterate, so orthonormality error grows along the run.
             curve = _literal_curve(x, d, self.scheme.gtau)
         elif getattr(_CURVES[kind], "follows_g", False):
             curve = _CURVES[kind](x, g, xtg)
@@ -310,9 +309,12 @@ class SolverState:
     f_history: List[float] = field(default_factory=list)
     tolx_win: deque = field(default_factory=deque)
     tolf_win: deque = field(default_factory=deque)
-    done: bool = False
     stop_reason: Optional[str] = None
     feas_trace: Optional[List[float]] = None
+
+    @property
+    def done(self) -> bool:
+        return self.stop_reason is not None
 
     def copy(self) -> "SolverState":
         return copy.deepcopy(self)
@@ -326,11 +328,8 @@ def _make_engine(problem, cfg, gc):
         raise ValueError(f"unknown problem manifold {manifold!r}")
     # the curves of the other kinds are built for X^T X = I_p only, and
     # these geometries have only the drift-safe curve
-    if cfg.scheme.kind != "new" or not cfg.scheme.feasibility_control:
-        raise ValueError(
-            f"the {manifold!r} geometry supports only scheme kind 'new' "
-            "with feasibility_control=True"
-        )
+    if cfg.scheme.kind != "new":
+        raise ValueError(f"the {manifold!r} geometry supports only scheme kind 'new'")
     return _SphereEngine() if manifold == "spheres" else _GeneralizedEngine(cfg, gc)
 
 
@@ -388,27 +387,23 @@ def prepare_state(problem, x0=None, cfg=None, gc=None) -> SolverState:
 
 
 def iterate_once(state: SolverState) -> SolverState:
-    """Advance the loop by one accepted step (or mark the state done)."""
+    """Advance the loop by one accepted step, or set the state's stop_reason."""
     if state.done:
         return state
     cfg = state.cfg
     eng = state.engine
 
     # stopping on the gradient residual, then on the iteration budget
-    if cfg.check_convergence:
-        if state.d_norm <= cfg.eps * state.d0_norm:
-            state.done = True
-            state.stop_reason = "ResidualRel"
-            return state
+    if state.d_norm <= cfg.eps * state.d0_norm:
+        state.stop_reason = "ResidualRel"
+        return state
     if state.k >= cfg.max_iter:
-        state.done = True
         state.stop_reason = "MaxIter"
         return state
 
     # curve of the configured scheme + adaptive nonmonotone backtracking
     curve, slope = eng.curve_and_slope(state.x, state.g, state.d, state.ctx)
     if not (math.isfinite(slope) and slope < 0.0):
-        state.done = True
         state.stop_reason = "LineSearchFail"
         return state
     try:
@@ -417,7 +412,6 @@ def iterate_once(state: SolverState) -> SolverState:
         )
     except LineSearchError as err:
         state.nfge += err.evals
-        state.done = True
         state.stop_reason = "LineSearchFail"
         return state
     state.nfge += evals
@@ -455,16 +449,13 @@ def iterate_once(state: SolverState) -> SolverState:
     tol_f = abs(f_prev - f_new) / (abs(f_prev) + 1.0)
     state.tolx_win.append(tol_x)
     state.tolf_win.append(tol_f)
-    if cfg.check_convergence:
-        if tol_x <= cfg.eps_x and tol_f <= cfg.eps_f:
-            state.done = True
-            state.stop_reason = "XtolFtol"
-        elif (
-            sum(state.tolx_win) / len(state.tolx_win) <= 10.0 * cfg.eps_x
-            and sum(state.tolf_win) / len(state.tolf_win) <= 10.0 * cfg.eps_f
-        ):
-            state.done = True
-            state.stop_reason = "WindowedMeans"
+    if tol_x <= cfg.eps_x and tol_f <= cfg.eps_f:
+        state.stop_reason = "XtolFtol"
+    elif (
+        sum(state.tolx_win) / len(state.tolx_win) <= 10.0 * cfg.eps_x
+        and sum(state.tolf_win) / len(state.tolf_win) <= 10.0 * cfg.eps_f
+    ):
+        state.stop_reason = "WindowedMeans"
     return state
 
 

@@ -240,9 +240,11 @@ class TestCommandLine:
             ["run", "eigen", "--repeat", "0"],
             ["compare", "eigen", "--rho", "0.25,0.5"],
             ["run", "eigen", "--jobs", "0"],
+            ["run", "eigen", "--n", "20", "--ranks", "2", "--uncontrolled"],
         ],
         ids=["problem-flag", "p-flag", "ranks-prefix", "alias", "implicit-run",
-             "config-flag", "run-repeat-zero", "compare-command", "run-jobs-zero"],
+             "config-flag", "run-repeat-zero", "compare-command", "run-jobs-zero",
+             "uncontrolled-flag"],
     )
     def test_dropped_spellings_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -499,6 +501,24 @@ class TestCommandLine:
         assert [ln.split()[:2] for ln in table] == [["2", "qr"], ["2", "new"], ["3", "qr"],
                                                    ["3", "new"]]
         assert table[1].split()[-1] == table[3].split()[-1] == "0.00"
+
+    def test_new_and_literal_kinds_pair_on_the_same_starts(self, tmp_path, capsys):
+        out = tmp_path / "pair.jsonl"
+        code, _, _ = self.run_main(
+            ["run", "eigen", "--n", "30", "--ranks", "2,3", "--scheme", "new,literal",
+             "--repeat", "2", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        recs = read_records(str(out), "jsonl")
+        means = [r for r in recs if r.stop_reason == "mean"]
+        assert [(r.p, r.scheme) for r in means] == [(2, "new"), (2, "literal"), (3, "new"),
+                                                   (3, "literal")]
+        # each instance is solved by both kinds, one after the other, from one start
+        solves = [r for r in recs if r.stop_reason != "mean"]
+        for a, b in zip(solves[::2], solves[1::2]):
+            assert (a.scheme, b.scheme) == ("new", "literal")
+            assert (a.p, a.seed, a.f_initial) == (b.p, b.seed, b.f_initial)
 
     def test_drift_command(self, tmp_path, capsys):
         out = tmp_path / "drift.tsv"

@@ -55,9 +55,10 @@ def scheme_curve(kind, x, g):
 
 
 def solver_engine(shape, controlled=True):
-    """The engine the solver runs for the "new" scheme, as prepare_state builds it."""
+    """The engine the solver runs for the "new" kind (or, uncontrolled, the
+    "literal" kind), as prepare_state builds it."""
     n, p = shape
-    cfg = SolverConfig(scheme=RetractionScheme(feasibility_control=controlled))
+    cfg = SolverConfig(scheme=RetractionScheme("new" if controlled else "literal"))
     start = random_stiefel(n, p, seed=0)
     return prepare_state(TraceEigenProblem(np.eye(n), p), start, cfg).engine
 
@@ -75,7 +76,7 @@ STANDARD_KINDS = ("new", "polar", "qr", "gp", "wenyin", "geodesic", "lowrank")
 class TestSchemeDataclass:
     def test_defaults(self):
         s = RetractionScheme()
-        assert s.kind == "new" and s.gtau == "linear" and s.feasibility_control
+        assert s.kind == "new" and s.gtau == "linear"
 
     def test_unknown_kind_rejected(self):
         # the constraint, not the kind, selects the X^T H X = K geometry

@@ -59,7 +59,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = SolverConfig()
         assert cfg.rho == 0.25
-        assert cfg.scheme.kind == "new" and cfg.scheme.feasibility_control
+        assert cfg.scheme == RetractionScheme("new", "linear")
         assert cfg.eps == 1e-5 and cfg.eps_x == 1e-5 and cfg.eps_f == 1e-8
         assert cfg.max_iter == 3000 and cfg.seed is None
         assert solver.WINDOW_T == 5 and solver.REORTH_TOL == 1e-14
@@ -71,8 +71,9 @@ class TestConfig:
         for bad in (
             dict(rho=0.0),
             dict(eps=-1.0),
-            dict(eps_x=0.0),
-            dict(eps_f=0.0),
+            dict(eps_x=-1e-12),
+            dict(eps_f=-1.0),
+            dict(eps=float("nan")),
             dict(max_iter=-1),
         ):
             with pytest.raises(ValueError):
@@ -133,12 +134,29 @@ class TestEigenSolve:
         assert rep.nfge == 1
 
     def test_maximizer_start_without_convergence_checks_fails_cleanly(self):
+        # zero tolerances still stop where ||D|| is exactly 0, as it is at
+        # the bottom eigenvectors, a maximizer of this objective
         prob = TraceEigenProblem(np.diag([4.0, 3.0, 2.0, 1.0]), 2)
         x0 = np.zeros((4, 2))
-        x0[2, 0] = x0[3, 1] = 1.0  # bottom eigenvectors: slope is not negative
-        rep = solve(prob, x0, SolverConfig(check_convergence=False, max_iter=50))
-        assert rep.stop_reason == "LineSearchFail"
+        x0[2, 0] = x0[3, 1] = 1.0
+        rep = solve(prob, x0, SolverConfig(eps=0.0, eps_x=0.0, eps_f=0.0, max_iter=50))
+        assert rep.stop_reason == "ResidualRel"
         assert rep.iters == 0
+
+    def test_non_descent_direction_stops_before_the_line_search(self):
+        prob = random_eigen(12, 2, seed=3)
+        state = prepare_state(prob, random_stiefel(12, 2, seed=3), SolverConfig())
+        state.d = -state.d  # the slope -<G, D> is now positive
+        iterate_once(state)
+        assert state.stop_reason == "LineSearchFail"
+        assert state.k == 0 and state.nfge == 1
+
+    def test_zero_tolerances_run_the_iteration_budget(self):
+        # a controlled drift instance: no exact stall within 40 iterations
+        prob = TraceEigenProblem(_tridiag_mul, 4, n=60)
+        cfg = SolverConfig(eps=0.0, eps_x=0.0, eps_f=0.0, max_iter=40)
+        rep = solve(prob, random_stiefel(60, 4, seed=0), cfg)
+        assert rep.iters == 40 and rep.stop_reason == "MaxIter"
 
     def test_unit_relative_tolerance_stops_at_start(self):
         # eps is relative to ||D_rho(x0)||, so eps = 1 is met at iteration 0
@@ -235,9 +253,11 @@ class TestReportAccounting:
         # reorthogonalized and F there is 8.6e-3 from the last accepted value
         counted = CountingProblem(TraceEigenProblem(_tridiag_mul, 6, n=200))
         cfg = SolverConfig(
-            scheme=RetractionScheme(feasibility_control=False),
+            scheme=RetractionScheme("literal"),
+            eps=0.0,
+            eps_x=0.0,
+            eps_f=0.0,
             max_iter=3000,
-            check_convergence=False,
             seed=0,
         )
         rep = solve(counted, None, cfg)
@@ -506,17 +526,12 @@ class TestSphereGeometry:
         np.testing.assert_allclose(norms, 1.0, atol=1e-13)
         assert max(rep.feasibility_trace) <= 1e-12
 
-    def test_non_new_scheme_rejected_on_spheres(self):
-        prob = self.small_corr_problem()
-        with pytest.raises(ValueError):
-            solve(prob, cfg=SolverConfig(scheme=RetractionScheme(kind="polar")))
-
-    def test_uncontrolled_variant_rejected(self):
+    @pytest.mark.parametrize("kind", ["polar", "literal"])
+    def test_non_new_scheme_rejected_on_spheres(self, kind):
         # the sphere curve exists only in its drift-safe construction
-        prob = self.small_corr_problem(seed=21)
-        scheme = RetractionScheme(feasibility_control=False)
-        with pytest.raises(ValueError, match="feasibility_control"):
-            solve(prob, cfg=SolverConfig(scheme=scheme, seed=21))
+        prob = self.small_corr_problem()
+        with pytest.raises(ValueError, match="only scheme kind 'new'"):
+            solve(prob, cfg=SolverConfig(scheme=RetractionScheme(kind=kind)))
 
 
 class TestGeneralizedSolve:
@@ -531,7 +546,7 @@ class TestGeneralizedSolve:
         prob = random_eigen(n, p, seed=22)
         x0 = random_stiefel(n, p, seed=22)
         gc = GeneralizedConstraint(np.eye(n), np.eye(p))
-        cfg = dict(rho=0.5, max_iter=25, check_convergence=False)
+        cfg = dict(rho=0.5, max_iter=25, eps=0.0, eps_x=0.0, eps_f=0.0)
         ra = solve(prob, x0, SolverConfig(**cfg))
         rb = solve_generalized(prob, x0, gc, SolverConfig(**cfg))
         assert len(ra.f_history) == len(rb.f_history)
@@ -587,12 +602,13 @@ class TestGeneralizedSolve:
         with pytest.raises(TypeError):
             solve_generalized(prob, random_stiefel(6, 2, seed=25), np.eye(6))
 
-    def test_uncontrolled_variant_rejected(self):
+    @pytest.mark.parametrize("kind", ["polar", "literal"])
+    def test_non_new_scheme_rejected(self, kind):
         # the generalized curve exists only in its drift-safe construction
         prob = random_eigen(6, 2, seed=27)
         gc = GeneralizedConstraint(np.eye(6), np.eye(2))
-        scheme = RetractionScheme(feasibility_control=False)
-        with pytest.raises(ValueError, match="feasibility_control"):
+        scheme = RetractionScheme(kind=kind)
+        with pytest.raises(ValueError, match="only scheme kind 'new'"):
             solve_generalized(prob, random_stiefel(6, 2, seed=27), gc, SolverConfig(scheme=scheme))
 
     def test_infeasible_start_projected_then_solved(self):

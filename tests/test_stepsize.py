@@ -278,9 +278,8 @@ class TestArmijoBacktrack:
         prob = make_problem(seed=6)
         x = random_stiefel(10, 3, seed=14)
         out = {}
-        for flag in (True, False):
-            scheme = RetractionScheme(kind="new", feasibility_control=flag)
-            state, curve, slope = first_step(prob, x, scheme)
-            out[flag] = armijo_backtrack(prob.fg, curve, slope, state.tau1, state.ref.f_r)
-        assert out[True][0] == out[False][0]
-        np.testing.assert_allclose(out[True][1], out[False][1], atol=1e-12)
+        for kind in ("new", "literal"):
+            state, curve, slope = first_step(prob, x, RetractionScheme(kind=kind))
+            out[kind] = armijo_backtrack(prob.fg, curve, slope, state.tau1, state.ref.f_r)
+        assert out["new"][0] == out["literal"][0]
+        np.testing.assert_allclose(out["new"][1], out["literal"][1], atol=1e-12)
