@@ -20,7 +20,6 @@ from .auglag import *
 _BENCH_NAMES = (
     "RunRecord",
     "aggregate_records",
-    "compare_schemes",
     "drift_demo",
     "read_records",
     "run_experiment",

@@ -61,14 +61,16 @@ class AugLagConfig:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
+        if not 0 <= self.sub_max_iter < np.inf:
+            raise ValueError("sub_max_iter must be nonnegative and finite")
+        if not 1 <= self.max_outer < np.inf:
+            raise ValueError("max_outer must be at least 1 and finite")
 
 
 @dataclass
 class AugLagReport:
-    """Final factor plus the outer-loop trace; nu_final, the outer count and
-    the nfge/iteration totals are read from the traces."""
+    """Final factor plus the outer-loop trace: one sub-report per outer step,
+    with nu_final and the nfge/iteration totals read from the traces."""
 
     v_final: np.ndarray
     theta_final: float
@@ -87,20 +89,12 @@ class AugLagReport:
         return self.nu_trace[-1]
 
     @property
-    def outer_iters(self) -> int:
-        return len(self.sub_reports)
-
-    @property
     def nfge_total(self) -> int:
         return sum(r.nfge for r in self.sub_reports)
 
     @property
     def iters_total(self) -> int:
         return sum(r.iters for r in self.sub_reports)
-
-    @property
-    def hit_outer_cap(self) -> bool:
-        return self.stop_reason == "OuterCap"
 
     @property
     def f_initial(self) -> float:
@@ -118,8 +112,8 @@ class AugLagSubproblem(_FgProblem):
     manifold = "spheres"
 
     def __init__(self, base: LowRankCorrProblem, fes: FixedEntrySet, lam, mu):
-        if mu <= 0.0:
-            raise ValueError("mu must be positive")
+        if not 0.0 < mu < np.inf:
+            raise ValueError("mu must be positive and finite")
         self.base = base
         self.fes = fes
         self.mu = float(mu)
@@ -165,11 +159,10 @@ def auglag_solve(
     """Run the outer loop from the modified-PCA start (or a supplied v0).
 
     Stops with "NuTarget" once the violation nu = sum |v_i^T v_j - q_ij| over
-    the pinned entries is at most NU_TARGET, else with "OuterCap" (and
-    hit_outer_cap set) after max_outer steps; a pin set that cannot be met
-    ends there. An empty entry set is met at once: one solve of the base
-    objective at the floor tolerances EPS_FLOOR. wall_time covers the whole
-    call.
+    the pinned entries is at most NU_TARGET, else with "OuterCap" after
+    max_outer steps; a pin set that cannot be met ends there. An empty entry
+    set is met at once: one solve of the base objective at the floor
+    tolerances EPS_FLOOR. wall_time covers the whole call.
     """
     cfg = AugLagConfig() if cfg is None else cfg
     if v0 is None:

@@ -1,18 +1,18 @@
-"""Benchmark runner: seeded experiment batches, machine-readable run records,
-scheme comparisons, and the feasibility-drift demonstration, exposed both as
-functions and through the ``stiefel-bench`` command line.
+"""Benchmark runner: seeded experiment batches, machine-readable run records
+and the feasibility-drift demonstration, exposed both as functions and
+through the ``stiefel-bench`` command line.
 
 ``stiefel-bench run`` solves every configuration (each combination of the
-comma lists of ``--scheme``, ``--rho`` and ``--gtau``) at every rank and seed,
-writes one `RunRecord` per solve plus one mean row per configuration and rank
-(JSONL or CSV), prints the saved ratio of each mean row to stderr when more
-than one configuration runs, and exits 1 when any solve ended in
-``LineSearchFail``; ``drift`` writes a TSV of the feasibility error per
-iteration. Output goes to
-``--out``, to a default file name under ``$STIEFELBB_OUT_DIR`` when that is
-set, or to stdout. ``wall_ms`` is the solver's own whole-solve time
-(`SolverReport.wall_time`, or `AugLagReport.wall_time` on the fixed-entry
-route)."""
+comma lists of ``--scheme``, ``--rho`` and ``--gtau``) at every rank and seed
+from the same starts, so a paired comparison of configurations is one ``run``
+with comma lists. It writes one `RunRecord` per solve plus one mean row per
+configuration and rank (JSONL or CSV), prints the saved ratio of each mean row
+to stderr when more than one configuration runs, and exits 1 when any solve
+ended in ``LineSearchFail``; ``drift`` writes a TSV of the feasibility error
+per iteration. Output goes to ``--out``, to a default file name under
+``$STIEFELBB_OUT_DIR`` when that is set, or to stdout. ``wall_ms`` is the
+solver's own whole-solve time (`SolverReport.wall_time`, or
+`AugLagReport.wall_time` on the fixed-entry route)."""
 
 import argparse
 import csv
@@ -50,7 +50,6 @@ __all__ = [
     "RECORD_FIELDS",
     "ENV_OUT_DIR",
     "run_experiment",
-    "compare_schemes",
     "drift_demo",
     "aggregate_records",
     "write_records",
@@ -120,10 +119,6 @@ _GROUP_KEY = RECORD_FIELDS[: RECORD_FIELDS.index("seed")]
 _OUTCOME = RECORD_FIELDS[RECORD_FIELDS.index("f_initial"):]
 
 
-def _csv_cell(v):
-    return repr(v) if isinstance(v, float) else str(v)
-
-
 def write_records(records: Sequence[RunRecord], stream, fmt="jsonl"):
     """Serialize records (one per line for jsonl; header + rows for csv)."""
     if fmt == "jsonl":
@@ -133,7 +128,7 @@ def write_records(records: Sequence[RunRecord], stream, fmt="jsonl"):
         w = csv.writer(stream, lineterminator="\n")
         w.writerow(RECORD_FIELDS)
         for r in records:
-            w.writerow([_csv_cell(getattr(r, f)) for f in RECORD_FIELDS])
+            w.writerow([getattr(r, f) for f in RECORD_FIELDS])
     else:
         raise ValueError(f"unknown format {fmt!r}, expected 'jsonl' or 'csv'")
 
@@ -203,35 +198,6 @@ def drift_demo(n, p, steps, controlled, seed=0) -> List[float]:
     )
     rep = solve(prob, x0, cfg)
     return rep.feasibility_trace[1:]
-
-
-def _saved_ratios(means: Sequence[RunRecord]) -> List[float]:
-    """The saved ratio 100 (a.nfe - a.nfe_base) / a.nfe_base of each mean row,
-    the last row being the baseline."""
-    base = means[-1].nfge
-    return [100.0 * (m.nfge - base) / base for m in means]
-
-
-def compare_schemes(problem, configs, seeds, x0=None) -> List[dict]:
-    """Paired scheme comparison: every configuration solves the same problem
-    from the same per-seed starts; one row of means per configuration, with
-    its saved ratio against the last configuration."""
-    configs, seeds = list(configs), list(seeds)
-    if len(configs) < 2:
-        raise ValueError("need at least two configurations to compare")
-    if not seeds:
-        raise ValueError("need at least one seed")
-    # one aggregate per configuration, so identical ones keep a row each; the
-    # rows read only the configuration and the means, so n and p stay 0
-    means = [
-        aggregate_records([_record("", cfg, int(s), problem, x0, 0, 0) for s in seeds])[0]
-        for cfg in configs
-    ]
-    return [
-        dict(scheme=m.scheme, rho=m.rho, gtau=m.gtau, a_nfe=float(m.nfge),
-             a_f_final=m.f_final, a_iters=float(m.iters), a_s_ratio=ratio)
-        for m, ratio in zip(means, _saved_ratios(means))
-    ]
 
 
 # ----------------------------------------------------------------------------
@@ -517,7 +483,9 @@ def _cmd_run(args) -> int:
         print(f"{'p':>4} {'scheme':>9} {'rho':>6} {'gtau':>9} {'a.nfe':>10} {'a.s.ratio':>10}",
               file=sys.stderr)
         for means in ranks:
-            for m, ratio in zip(means, _saved_ratios(means)):
+            base = means[-1].nfge  # the saved ratio against the rank's last row
+            for m in means:
+                ratio = 100.0 * (m.nfge - base) / base
                 print(f"{m.p:>4} {m.scheme:>9} {m.rho:>6.3g} {m.gtau:>9} "
                       f"{float(m.nfge):>10.1f} {ratio:>10.2f}", file=sys.stderr)
     return 0 if fails == 0 else 1

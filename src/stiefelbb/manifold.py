@@ -14,10 +14,7 @@ import numpy as np
 
 __all__ = [
     "feasibility_error",
-    "canonical_gradient",
-    "tangent_projection",
     "compute_d_rho",
-    "optimality_residual",
     "sym",
     "skew",
     "qr_positive",
@@ -66,30 +63,15 @@ def _d_rho(x, g, rho):
     return g - x @ (two_rho * xtg.T + (1.0 - two_rho) * xtg), xtg
 
 
-def canonical_gradient(x, g):
-    """Gradient under the canonical metric: G - X G^T X, i.e. D_rho at rho = 1/2."""
-    return _d_rho(*_checked_pair(x, g, "G"), 0.5)[0]
-
-
-def tangent_projection(x, z):
-    """Project Z onto the tangent space at X: Z - X sym(X^T Z), i.e. D_rho at rho = 1/4."""
-    return _d_rho(*_checked_pair(x, z, "Z"), 0.25)[0]
-
-
 def compute_d_rho(x, g, rho: float):
     """Descent direction D_rho = G - X (2 rho G^T X + (1 - 2 rho) X^T G).
 
     rho = 1/2 gives the canonical gradient, rho = 1/4 the steepest tangent
-    direction in the Euclidean metric. Requires rho > 0.
+    direction in the Euclidean metric. Requires 0 < rho < inf.
     """
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not 0.0 < rho < np.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
     return _d_rho(*_checked_pair(x, g, "G"), rho)[0]
-
-
-def optimality_residual(x, g, rho: float) -> float:
-    """||D_rho||_F, the stationarity measure driving the solver's stopping test."""
-    return float(np.linalg.norm(compute_d_rho(x, g, rho)))
 
 
 def qr_positive(a, require_full_rank=True):

@@ -25,7 +25,6 @@ __all__ = [
     "modified_pca_init",
     "sample_fixed_entries",
     "load_matrix",
-    "save_matrix_market",
 ]
 
 _SYM_TOL = 1e-10
@@ -35,6 +34,8 @@ def _require_symmetric(a, name):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} contains non-finite entries")
     if np.linalg.norm(a - a.T) > _SYM_TOL * max(1.0, float(np.linalg.norm(a))):
         raise ValueError(f"{name} must be symmetric")
     return a
@@ -313,7 +314,7 @@ class FixedEntrySet:
             raise ValueError("rows, cols, values must have equal length")
         if rows.size and (np.any(cols < 1) or np.any(cols >= rows)):
             raise ValueError("need 1 <= j < i for every entry")
-        if np.any(np.abs(values) > 1.0):
+        if not np.all(np.abs(values) <= 1.0):
             raise ValueError("prescribed values must lie in [-1, 1]")
         order = np.lexsort((cols, rows))
         rows, cols, values = rows[order], cols[order], values[order]
@@ -407,7 +408,3 @@ def load_matrix(path):
         a = np.loadtxt(path)
     return np.asarray(a, dtype=float)
 
-
-def save_matrix_market(path, a, comment=""):
-    """Write a dense matrix in MatrixMarket array format."""
-    scipy.io.mmwrite(str(path), np.asarray(a, dtype=float), comment=comment)

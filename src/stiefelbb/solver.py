@@ -7,7 +7,6 @@ a safeguard band, backtracks against an adaptive nonmonotone reference value,
 and moves along a feasibility-preserving curve of the configured scheme.
 """
 
-import copy
 import math
 import time
 from collections import deque
@@ -91,13 +90,13 @@ class SolverConfig:
     def __post_init__(self):
         if not isinstance(self.scheme, RetractionScheme):
             raise TypeError("scheme must be a RetractionScheme")
-        if self.rho <= 0.0:
-            raise ValueError("rho must be positive")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
         for name in ("eps", "eps_x", "eps_f"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
+        if not 0 <= self.max_iter < math.inf:
+            raise ValueError("max_iter must be nonnegative and finite")
         if self.tau0 is not None and not (math.isfinite(self.tau0) and self.tau0 > 0.0):
             raise ValueError("tau0 must be positive and finite")
 
@@ -290,7 +289,7 @@ class _GeneralizedEngine:
 
 @dataclass
 class SolverState:
-    """Everything iterate_once needs; deep-copyable for snapshotting."""
+    """Everything iterate_once needs; copy.deepcopy(state) is a snapshot."""
 
     problem: object
     cfg: SolverConfig
@@ -315,9 +314,6 @@ class SolverState:
     @property
     def done(self) -> bool:
         return self.stop_reason is not None
-
-    def copy(self) -> "SolverState":
-        return copy.deepcopy(self)
 
 
 def _make_engine(problem, cfg, gc):

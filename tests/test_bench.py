@@ -1,5 +1,5 @@
-"""Tests for run records, aggregation, comparisons, the drift demo, and the
-command-line entry point."""
+"""Tests for run records, aggregation, the drift demo, and the command-line
+entry point, whose comma lists run paired comparisons."""
 
 import io
 import os
@@ -14,16 +14,12 @@ import pytest
 from stiefelbb import (
     AugLagConfig,
     RunRecord,
-    SolverConfig,
-    TraceEigenProblem,
     aggregate_records,
-    compare_schemes,
     drift_demo,
     read_records,
     write_records,
 )
 from stiefelbb.bench import ENV_OUT_DIR, RECORD_FIELDS, _build_parser, main
-from stiefelbb.retractions import RetractionScheme
 
 
 def sample_record(**overrides):
@@ -46,12 +42,6 @@ def sample_record(**overrides):
     )
     base.update(overrides)
     return RunRecord(**base)
-
-
-def random_eigen(n, p, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n))
-    return TraceEigenProblem(a + a.T, p)
 
 
 class TestRecordSerialization:
@@ -141,36 +131,6 @@ class TestDriftDemo:
         assert drift_demo(40, 3, 10, False, seed=1) == drift_demo(
             40, 3, 10, False, seed=1
         )
-
-
-class TestCompareSchemes:
-    def test_identical_configs_have_zero_saved_ratio(self):
-        prob = random_eigen(20, 2, seed=5)
-        cfgs = [SolverConfig(), SolverConfig()]
-        rows = compare_schemes(prob, cfgs, seeds=[0, 1])
-        assert len(rows) == 2
-        assert rows[0]["a_nfe"] == rows[1]["a_nfe"]
-        assert rows[0]["a_s_ratio"] == 0.0
-        assert rows[1]["a_s_ratio"] == 0.0
-
-    def test_distinct_schemes_report_against_last_baseline(self):
-        prob = random_eigen(20, 2, seed=6)
-        cfgs = [
-            SolverConfig(scheme=RetractionScheme("qr")),
-            SolverConfig(scheme=RetractionScheme("new")),
-        ]
-        rows = compare_schemes(prob, cfgs, seeds=[0, 1, 2])
-        assert rows[1]["a_s_ratio"] == 0.0  # baseline row
-        expected = 100.0 * (rows[0]["a_nfe"] - rows[1]["a_nfe"]) / rows[1]["a_nfe"]
-        assert rows[0]["a_s_ratio"] == pytest.approx(expected, rel=1e-15)
-        assert rows[0]["scheme"] == "qr"
-
-    def test_validation(self):
-        prob = random_eigen(10, 2, seed=7)
-        with pytest.raises(ValueError):
-            compare_schemes(prob, [SolverConfig()], seeds=[0])
-        with pytest.raises(ValueError):
-            compare_schemes(prob, [SolverConfig(), SolverConfig()], seeds=[])
 
 
 class TestCommandLine:
@@ -501,6 +461,10 @@ class TestCommandLine:
         assert [ln.split()[:2] for ln in table] == [["2", "qr"], ["2", "new"], ["3", "qr"],
                                                    ["3", "new"]]
         assert table[1].split()[-1] == table[3].split()[-1] == "0.00"
+        # each ratio is 100 (a.nfe - base) / base against its rank's last mean row
+        for ln, m in zip(table, means):
+            base = float(means[1 if m.p == 2 else 3].nfge)
+            assert ln.split()[-1] == f"{100.0 * (float(m.nfge) - base) / base:.2f}"
 
     def test_new_and_literal_kinds_pair_on_the_same_starts(self, tmp_path, capsys):
         out = tmp_path / "pair.jsonl"

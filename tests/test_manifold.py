@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from stiefelbb import (
-    canonical_gradient,
-    compute_d_rho,
-    feasibility_error,
-    optimality_residual,
-    random_stiefel,
-    tangent_projection,
-)
+from stiefelbb import compute_d_rho, feasibility_error, random_stiefel
 from stiefelbb.manifold import skew, sym
 
 
@@ -52,25 +45,25 @@ class TestFeasibilityError:
 class TestCanonicalGradient:
     def test_gradient_equal_to_point_vanishes(self):
         x = random_stiefel(6, 3, seed=0)
-        assert np.linalg.norm(canonical_gradient(x, x)) < 1e-14
+        assert np.linalg.norm(compute_d_rho(x, x, 0.5)) < 1e-14
 
     def test_orthogonal_vector_case(self):
         x = np.array([[1.0], [0.0]])
         g = np.array([[0.0], [1.0]])
-        np.testing.assert_allclose(canonical_gradient(x, g), g, atol=1e-15)
+        np.testing.assert_allclose(compute_d_rho(x, g, 0.5), g, atol=1e-15)
 
     def test_split_formula_identity(self):
         # G - X G^T X == (I - X X^T) G + 2 X skew(X^T G) for feasible X
         rng = np.random.default_rng(11)
         x = random_stiefel(5, 2, seed=11)
         g = rng.standard_normal((5, 2))
-        direct = canonical_gradient(x, g)
+        direct = compute_d_rho(x, g, 0.5)
         alt = (g - x @ (x.T @ g)) + 2.0 * (x @ skew(x.T @ g))
         np.testing.assert_allclose(direct, alt, atol=1e-13)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            canonical_gradient(np.eye(3), np.ones((3, 2)))
+            compute_d_rho(np.eye(3), np.ones((3, 2)), 0.5)
 
 
 class TestTangentProjection:
@@ -79,25 +72,25 @@ class TestTangentProjection:
         x = random_stiefel(6, 3, seed=2)
         a = rng.standard_normal((3, 3))
         z = x @ (a - a.T) + (np.eye(6) - x @ x.T) @ rng.standard_normal((6, 3))
-        np.testing.assert_allclose(tangent_projection(x, z), z, atol=1e-13)
+        np.testing.assert_allclose(compute_d_rho(x, z, 0.25), z, atol=1e-13)
 
     def test_point_itself_projects_to_zero(self):
         x = random_stiefel(6, 3, seed=4)
-        assert np.linalg.norm(tangent_projection(x, x)) < 1e-13
+        assert np.linalg.norm(compute_d_rho(x, x, 0.25)) < 1e-13
 
     def test_idempotent(self):
         rng = np.random.default_rng(5)
         x = random_stiefel(6, 3, seed=5)
         z = rng.standard_normal((6, 3))
-        once = tangent_projection(x, z)
-        twice = tangent_projection(x, once)
+        once = compute_d_rho(x, z, 0.25)
+        twice = compute_d_rho(x, once, 0.25)
         np.testing.assert_allclose(twice, once, atol=1e-13)
 
     def test_result_has_skew_frame_component(self):
         rng = np.random.default_rng(6)
         x = random_stiefel(8, 3, seed=6)
         z = rng.standard_normal((8, 3))
-        t = tangent_projection(x, z)
+        t = compute_d_rho(x, z, 0.25)
         assert np.linalg.norm(sym(x.T @ t)) < 1e-13
 
 
@@ -111,28 +104,12 @@ class TestComputeDRho:
         for rho in (0.25, 0.5, 1.0, 2.0):
             assert np.linalg.norm(compute_d_rho(x, g, rho)) < 1e-13
 
-    def test_half_matches_canonical_gradient(self):
-        rng = np.random.default_rng(9)
-        x = random_stiefel(6, 2, seed=9)
-        g = rng.standard_normal((6, 2))
-        np.testing.assert_allclose(
-            compute_d_rho(x, g, 0.5), canonical_gradient(x, g), atol=1e-13
-        )
-
-    def test_quarter_matches_euclidean_projection(self):
-        rng = np.random.default_rng(10)
-        x = random_stiefel(6, 2, seed=10)
-        g = rng.standard_normal((6, 2))
-        np.testing.assert_allclose(
-            compute_d_rho(x, g, 0.25), tangent_projection(x, g), atol=1e-13
-        )
-
     def test_rank_one_correction_of_canonical_gradient(self):
         # D_rho == (I - (1 - 2 rho) X X^T) (G - X G^T X) for feasible X
         rng = np.random.default_rng(12)
         x = random_stiefel(7, 3, seed=12)
         g = rng.standard_normal((7, 3))
-        grad = canonical_gradient(x, g)
+        grad = compute_d_rho(x, g, 0.5)
         for rho in (0.25, 0.5, 1.0, 2.0):
             expected = grad - (1.0 - 2.0 * rho) * (x @ (x.T @ grad))
             np.testing.assert_allclose(compute_d_rho(x, g, rho), expected, atol=1e-12)
@@ -143,25 +120,32 @@ class TestComputeDRho:
             compute_d_rho(x, x, 0.0)
         with pytest.raises(ValueError):
             compute_d_rho(x, x, -0.5)
+        for rho in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="rho"):
+                compute_d_rho(x, x, rho)
 
 
 class TestOptimalityResidual:
     def test_zero_at_stationary_point(self):
         x = random_stiefel(5, 2, seed=13)
         g = x @ np.diag([2.0, 3.0])
-        assert optimality_residual(x, g, 0.25) < 1e-13
+        assert np.linalg.norm(compute_d_rho(x, g, 0.25)) < 1e-13
 
     def test_unit_vector_case(self):
         x = np.array([[1.0], [0.0]])
         g = np.array([[0.0], [1.0]])
-        assert optimality_residual(x, g, 0.5) == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.norm(compute_d_rho(x, g, 0.5)) == pytest.approx(1.0, abs=1e-15)
 
     def test_is_norm_of_direction(self):
+        # ||D_rho||^2 == 4 rho^2 ||X^T grad||^2 + ||(I - X X^T) G||^2 for
+        # feasible X, grad being D_rho at rho = 1/2
         rng = np.random.default_rng(14)
         x = random_stiefel(6, 3, seed=14)
         g = rng.standard_normal((6, 3))
-        assert optimality_residual(x, g, 0.7) == pytest.approx(
-            np.linalg.norm(compute_d_rho(x, g, 0.7)), rel=1e-14
+        frame = np.linalg.norm(x.T @ compute_d_rho(x, g, 0.5))
+        normal = np.linalg.norm(g - x @ (x.T @ g))
+        assert np.linalg.norm(compute_d_rho(x, g, 0.7)) == pytest.approx(
+            np.hypot(1.4 * frame, normal), rel=1e-13
         )
 
 
@@ -187,7 +171,7 @@ class TestDirectionInvariants:
             n, p = 9, 4
             x = random_stiefel(n, p, seed=200 + trial)
             g = rng.standard_normal((n, p))
-            grad_sq = np.linalg.norm(canonical_gradient(x, g)) ** 2
+            grad_sq = np.linalg.norm(compute_d_rho(x, g, 0.5)) ** 2
             for rho in (0.25, 0.5, 1.0, 2.0):
                 slope = float(np.vdot(g, compute_d_rho(x, g, rho)))
                 assert slope >= min(rho, 1.0) * grad_sq - 1e-12
@@ -198,7 +182,7 @@ class TestDirectionInvariants:
         for trial in range(20):
             x = random_stiefel(8, 3, seed=300 + trial)
             g = rng.standard_normal((8, 3))
-            grad_norm = np.linalg.norm(canonical_gradient(x, g))
+            grad_norm = np.linalg.norm(compute_d_rho(x, g, 0.5))
             for rho in (0.25, 0.5, 1.0, 2.0):
                 d_norm = np.linalg.norm(compute_d_rho(x, g, rho))
                 assert d_norm <= max(2.0 * rho, 1.0) * grad_norm + 1e-12

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.io
 
 from stiefelbb import (
     FixedEntrySet,
@@ -18,7 +19,6 @@ from stiefelbb import (
     modified_pca_init,
     random_stiefel,
     sample_fixed_entries,
-    save_matrix_market,
 )
 from stiefelbb.problems import _gram
 
@@ -216,6 +216,17 @@ class TestLowRankCorr:
         with pytest.raises(ValueError):
             prob.value(np.zeros((3, 3)))
 
+    def test_non_finite_matrices_rejected(self):
+        for bad in (np.nan, np.inf):
+            m = np.eye(3)
+            m[0, 1] = m[1, 0] = bad
+            with pytest.raises(ValueError, match="C contains non-finite"):
+                LowRankCorrProblem(m, 2)
+            with pytest.raises(ValueError, match="H contains non-finite"):
+                LowRankCorrProblem(np.eye(3), 2, m)
+            with pytest.raises(ValueError, match="A contains non-finite"):
+                TraceEigenProblem(m, 2)
+
     def test_finite_differences_both_weightings(self):
         for weighted, seed in ((False, 18), (True, 19)):
             prob = gen_ex3(12, weighted=weighted, seed=20, r=3)
@@ -329,7 +340,7 @@ class TestFixedEntrySet:
         with pytest.raises(ValueError, match="expected"):
             FixedEntrySet.from_text(path)
 
-    def test_validation(self):
+    def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
             FixedEntrySet([2], [2], [0.0])  # j == i
         with pytest.raises(ValueError):
@@ -340,6 +351,12 @@ class TestFixedEntrySet:
             FixedEntrySet([2, 2], [1, 1], [0.0, 0.1])  # duplicate
         with pytest.raises(ValueError):
             FixedEntrySet([2, 3], [1], [0.0])  # ragged
+        with pytest.raises(ValueError, match="values"):
+            FixedEntrySet([2], [1], [float("nan")])
+        path = tmp_path / "nan.txt"
+        path.write_text("3 1 nan\n")
+        with pytest.raises(ValueError, match="values"):
+            FixedEntrySet.from_text(path)
 
     def test_violation_hand_example(self):
         # columns v1 = v2 = e1, v3 = e2; entries (2,1)->0 and (3,1)->0.5
@@ -382,7 +399,7 @@ class TestMatrixIO:
         a = rng.standard_normal((5, 5))
         a = a + a.T
         path = tmp_path / "mat.mtx"
-        save_matrix_market(path, a, comment="round trip")
+        scipy.io.mmwrite(path, a, comment="round trip")
         back = load_matrix(path)
         np.testing.assert_allclose(back, a, rtol=1e-14)
 

@@ -1,5 +1,6 @@
 """The adaptive BB descent loop: termination, accounting, determinism."""
 
+import copy
 import math
 import time
 from dataclasses import replace
@@ -21,7 +22,6 @@ from stiefelbb import (
     heterogeneous_problem,
     iterate_once,
     modified_pca_init,
-    optimality_residual,
     prepare_state,
     random_stiefel,
     solve,
@@ -75,8 +75,11 @@ class TestConfig:
             dict(eps_f=-1.0),
             dict(eps=float("nan")),
             dict(max_iter=-1),
+            dict(rho=math.nan),
+            dict(rho=math.inf),
+            dict(max_iter=math.nan),
         ):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=next(iter(bad))):
                 SolverConfig(**bad)
         with pytest.raises(TypeError):
             SolverConfig(scheme="polar")
@@ -306,7 +309,7 @@ class TestReportAccounting:
         prob = heterogeneous_problem(1000, 10, "random", seed=100001)
         rep = solve(prob, cfg=SolverConfig(seed=1))
         assert rep.f_final != rep.f_history[-1]  # the last iterate was reorthogonalized
-        res = optimality_residual(rep.x_final, prob.fg(rep.x_final)[1], 0.25)
+        res = np.linalg.norm(compute_d_rho(rep.x_final, prob.fg(rep.x_final)[1], 0.25))
         assert rep.residual_final == pytest.approx(res, rel=1e-14, abs=0.0)
 
     def test_residual_initial_is_the_start_residual(self):
@@ -392,7 +395,7 @@ class TestIterateOnce:
         state = prepare_state(prob, random_stiefel(18, 2, seed=14), SolverConfig())
         for _ in range(3):
             iterate_once(state)
-        snap = state.copy()
+        snap = copy.deepcopy(state)
         for _ in range(4):
             iterate_once(state)
         for _ in range(4):
