@@ -33,6 +33,7 @@ from .problems import (
     LowRankCorrProblem,
     FixedEntrySet,
     TraceEigenProblem,
+    _require_symmetric,
     ex3_matrix,
     gen_ex2,
     gen_ex3,
@@ -224,6 +225,15 @@ def _ranks(args, n, default):
     return ranks
 
 
+@contextmanager
+def _input_file(flag, path):
+    """Report a missing or malformed input file as a usage error naming flag."""
+    try:
+        yield
+    except (OSError, ValueError) as err:
+        raise argparse.ArgumentTypeError(f"{flag} {path}: {err}") from None
+
+
 def _instances(args, seeds):
     """The instances the flags select for the given seeds, ranks outer and
     seeds inner, as (seed, problem, x0, n, p, pins) tuples: x0 None is a
@@ -233,9 +243,10 @@ def _instances(args, seeds):
     pid = args.problem
     if pid == "eigen":
         n = 100 if args.n is None else args.n
-        if args.matrix_file:
-            a = load_matrix(args.matrix_file)
-            a = 0.5 * (a + a.T)
+        if args.matrix_file is not None:
+            with _input_file("--matrix-file", args.matrix_file):
+                a = load_matrix(args.matrix_file)
+                a = 0.5 * (a + a.T)
             n = a.shape[0]
         else:
             rng = np.random.default_rng(args.seed)
@@ -258,9 +269,14 @@ def _instances(args, seeds):
     # the low-rank correlation family
     n = (200 if pid == "ex10" else 500) if args.n is None else args.n
     if pid == "nlcm":
-        c = load_matrix(args.matrix_file)
+        with _input_file("--matrix-file", args.matrix_file):
+            c = _require_symmetric(load_matrix(args.matrix_file), "C")
         n = c.shape[0]
-    fes = FixedEntrySet.from_text(args.fixed_entries) if args.fixed_entries else None
+    fes = None
+    if args.fixed_entries is not None:
+        with _input_file("--fixed-entries", args.fixed_entries):
+            fes = FixedEntrySet.from_text(args.fixed_entries)
+            fes._check_n(n)
     for r in _ranks(args, n, 10 if pid == "ex10" else 5):
         if pid == "ex2":
             prob = gen_ex2(n, r)
@@ -511,7 +527,7 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 0
-    if args.command == "run" and args.fixed_entries:
+    if args.command == "run" and args.fixed_entries is not None:
         # --fixed-entries moves ex2, ex3 and nlcm to the outer loop of ex10
         for name in ("--init", "--eps", "--eps-x", "--eps-f"):
             value = getattr(args, name[2:].replace("-", "_"))

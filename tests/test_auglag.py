@@ -302,9 +302,9 @@ class TestAugLagSolve:
         assert auglag.NU_TARGET == 3e-8
 
     def test_config_validation(self):
-        for bad in (0, float("nan")):
+        for bad in (0, float("nan"), 2.5, 2.0):
             with pytest.raises(ValueError, match="max_outer"):
                 AugLagConfig(max_outer=bad)
-        for bad in (-1, float("nan")):
+        for bad in (-1, float("nan"), 1.5):
             with pytest.raises(ValueError, match="sub_max_iter"):
                 AugLagConfig(sub_max_iter=bad)

@@ -368,6 +368,42 @@ class TestCommandLine:
         assert f"--ranks {rank}" in captured.err and f"n = {n}" in captured.err
         assert "solve(s)" not in captured.err and not captured.out
 
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["ex3", "--fixed-entries", "missing.txt"], "--fixed-entries missing.txt"),
+            (["ex3", "--fixed-entries", ""], "--fixed-entries :"),
+            (["eigen", "--matrix-file", ""], "--matrix-file :"),
+            (["nlcm", "--matrix-file", "missing.npy"], "--matrix-file missing.npy"),
+            (["eigen", "--matrix-file", "missing.npy"], "--matrix-file missing.npy"),
+            (["ex3", "--fixed-entries", "short.txt"], "expected 'i j q'"),
+            (["ex3", "--fixed-entries", "word.txt"], "--fixed-entries word.txt"),
+            (["ex3", "--fixed-entries", "above-one.txt"], "[-1, 1]"),
+            (["ex3", "--fixed-entries", "nan.txt"], "[-1, 1]"),
+            (["ex3", "--fixed-entries", "index-above-n.txt"],
+             "entry index 31 exceeds the dimension 30"),
+            (["nlcm", "--matrix-file", "skew.npy"], "C must be symmetric"),
+        ],
+        ids=["pins-missing", "pins-empty-path", "eigen-matrix-empty-path", "nlcm-matrix-missing",
+             "eigen-matrix-missing", "pins-short-line", "pins-word", "pin-above-one", "pin-nan",
+             "pin-index-above-n", "nlcm-not-symmetric"],
+    )
+    def test_bad_input_file_is_usage_error(self, args, named, tmp_path, monkeypatch, capsys):
+        # exit 1 stays the code of a LineSearchFail run; a bad file is found
+        # before any solve runs
+        monkeypatch.chdir(tmp_path)
+        for name, text in (("short.txt", "2 1\n"), ("word.txt", "2 one 0.0\n"),
+                           ("above-one.txt", "2 1 1.5\n"), ("nan.txt", "2 1 nan\n"),
+                           ("index-above-n.txt", "2 1 0.0\n31 1 0.0\n")):
+            (tmp_path / name).write_text(text)
+        np.save(tmp_path / "skew.npy", np.eye(5) + np.eye(5, k=1))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *args, "--ranks", "2"] + (["--n", "30"] if args[0] == "ex3" else []))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert "solve(s)" not in captured.err and not captured.out
+
     def test_unknown_problem_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "bogus"])

@@ -78,11 +78,14 @@ class TestConfig:
             dict(rho=math.nan),
             dict(rho=math.inf),
             dict(max_iter=math.nan),
+            dict(max_iter=1.5),
+            dict(max_iter=3.0),
         ):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 SolverConfig(**bad)
         with pytest.raises(TypeError):
             SolverConfig(scheme="polar")
+        assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
 
     @pytest.mark.parametrize("tau0", [0.0, -1e-3, math.nan, math.inf])
     def test_tau0_must_be_positive_and_finite(self, tau0):
@@ -204,16 +207,17 @@ class TestStopCriteria:
         assert rep.iters == 3
         assert len(rep.f_history) == 4
 
-    def test_pointwise_small_change_stop(self):
-        # loose tolerances make the first accepted step trip the pointwise test
+    def test_loose_change_tolerances_stop_at_windowed_means(self):
+        # loose tolerances make the first accepted step trip the windowed
+        # test, whose window then holds that one step
         prob = random_eigen(40, 3, seed=2)
         rep = solve(
             prob,
             random_stiefel(40, 3, seed=2),
             SolverConfig(eps=1e-12, eps_x=10.0, eps_f=10.0),
         )
-        assert rep.stop_reason == "XtolFtol"
-        assert rep.iters == 1
+        assert rep.stop_reason == "WindowedMeans"
+        assert (rep.iters, rep.nfge) == (1, 2)
 
     def test_windowed_means_stop_occurs_naturally(self):
         # spiky per-step changes can pass the averaged test only
@@ -490,11 +494,14 @@ class TestKnownOptimumProblem:
         assert abs(rep.f_final - (-5.0)) / 5.0 <= 1e-5
         assert rep.feasi <= 1e-13
 
-    def test_random_planted_instance_reaches_optimum(self):
-        # without the cap on tau ||D|| a long step wrapped X to about -X and
-        # the run stopped at XtolFtol after 6 iterations, at F = 32643
-        prob = heterogeneous_problem(1000, 10, "random", seed=180110)
-        rep = solve(prob, cfg=SolverConfig(seed=80110))
+    @pytest.mark.parametrize("s", [80110, 9327, 9530, 14258, 18696, 23752])
+    def test_random_planted_instance_reaches_optimum(self, s):
+        # instance seed 100000 + s, start seed s. Without the cap on
+        # tau ||D|| a long step wrapped X of s = 80110 to about -X; the other
+        # five stopped 1.1e-3 to 1.4e-3 above the optimum on a pointwise
+        # change test that fired on one small step among larger ones
+        prob = heterogeneous_problem(1000, 10, "random", seed=100000 + s)
+        rep = solve(prob, cfg=SolverConfig(seed=s))
         opt = prob.known_optimum
         assert abs(rep.f_final - opt) <= 1e-3 * abs(opt)
 
