@@ -41,6 +41,14 @@ def _require_symmetric(a, name):
     return a
 
 
+def _require_size(value, name):
+    """A dimension n, p or r as an int; like the solver's budgets, it must be
+    an int or a numpy integer (2.0 is rejected too)."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _gram(v):
     """V^T V as a fresh C-ordered array."""
     # v.T @ v takes numpy's syrk path, whose strided triangle copy costs more than gemm on a copy
@@ -66,6 +74,7 @@ class TraceEigenProblem(_FgProblem):
         if callable(a):
             if n is None:
                 raise ValueError("a matrix-free operator needs the dimension n")
+            n = _require_size(n, "n")
             self.a = None
             self._mul = a
         else:
@@ -73,10 +82,11 @@ class TraceEigenProblem(_FgProblem):
             self.a = a
             self._mul = None
             n = a.shape[0]
+        p = _require_size(p, "p")
         if not 1 <= p <= n:
             raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
-        self.n = int(n)
-        self.p = int(p)
+        self.n = n
+        self.p = p
         self.shape = (self.n, self.p)
         self.name = "eigen"
         self.known_optimum = None
@@ -99,9 +109,12 @@ class HeterogeneousQuadraticProblem(_FgProblem):
     manifold = "stiefel"
 
     def __init__(self, n, p, l):
+        n, p = _require_size(n, "n"), _require_size(p, "p")
         l = np.asarray(l, dtype=float).ravel()
         if l.size != p:
             raise ValueError(f"need {p} planted values, got {l.size}")
+        if not np.all(np.isfinite(l)):
+            raise ValueError("planted values l contain non-finite entries")
         if np.any(l >= 0.0):
             raise ValueError("all planted values l_i must be negative")
         if not 1 <= p <= n:
@@ -111,8 +124,8 @@ class HeterogeneousQuadraticProblem(_FgProblem):
         for i in range(p):
             coeff[:, i] = n * i + base
             coeff[i, i] = l[i]
-        self.n = int(n)
-        self.p = int(p)
+        self.n = n
+        self.p = p
         self.l = l
         self.coeff = coeff  # diagonal of A_i stored as column i
         self.shape = (self.n, self.p)
@@ -129,6 +142,7 @@ def heterogeneous_problem(n, p, l_mode="minus-one", seed=None):
     """Construct the heterogeneous diagonal quadratic with planted values:
     l_mode "minus-one" plants l_i = -1; "random" plants l_i = -u, u uniform
     in (0, 1] (draws are negated so every planted value is negative)."""
+    p = _require_size(p, "p")
     if l_mode == "minus-one":
         l = -np.ones(p)
     elif l_mode == "random":
@@ -153,6 +167,7 @@ class LowRankCorrProblem(_FgProblem):
     def __init__(self, c, r, h=None, name="nlcm"):
         c = _require_symmetric(c, "C")
         n = c.shape[0]
+        r = _require_size(r, "r")
         if not 1 <= r <= n:
             raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
         if h is not None:
@@ -164,8 +179,8 @@ class LowRankCorrProblem(_FgProblem):
         self.c = c
         self.h = h
         self.hsq = h * h if h is not None else None
-        self.r = int(r)
-        self.n = int(n)
+        self.r = r
+        self.n = n
         self.shape = (self.r, self.n)
         self.name = name
         self.known_optimum = None
@@ -210,7 +225,7 @@ def ex2_matrix(n):
     exp(-g1 |i-j| - g2 |i-j| / max(i,j)^g3 - g4 |sqrt(i) - sqrt(j)|)
     with 1-based indices, (g1, g2, g3, g4) = (0, 0.480, 1.511, 0.186)."""
     g1, g2, g3, g4 = 0.0, 0.480, 1.511, 0.186
-    i = np.arange(1, n + 1, dtype=float)
+    i = np.arange(1, _require_size(n, "n") + 1, dtype=float)
     ii = i[:, None]
     jj = i[None, :]
     gap = np.abs(ii - jj)
@@ -229,7 +244,7 @@ def gen_ex2(n=500, r=5) -> LowRankCorrProblem:
 
 def ex3_matrix(n):
     """Long-range correlation target: C_ij = 0.5 + 0.5 exp(-0.05 |i-j|)."""
-    i = np.arange(n, dtype=float)
+    i = np.arange(_require_size(n, "n"), dtype=float)
     gap = np.abs(i[:, None] - i[None, :])
     return 0.5 + 0.5 * np.exp(-0.05 * gap)
 
@@ -237,6 +252,7 @@ def ex3_matrix(n):
 def ex3_weights(n, seed=0):
     """Symmetric weights uniform in [0.1, 10], except 200 strict-upper
     entries (mirrored) drawn from [0.01, 100]; fully seeded."""
+    n = _require_size(n, "n")
     rng = np.random.default_rng(seed)
     h = rng.uniform(0.1, 10.0, size=(n, n))
     h = np.triu(h)
@@ -273,6 +289,7 @@ def modified_pca_init(c, r):
     """
     c = _require_symmetric(c, "C")
     n = c.shape[0]
+    r = _require_size(r, "r")
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     w, q = _pca_columns(c, r)
@@ -380,6 +397,7 @@ def sample_fixed_entries(n, n_e=3, seed=0, values=None):
     """Seeded index sampling: for each row i, min(n_e, n - i) distinct columns
     j > i, stored as strict-lower pairs. values=None prescribes q = 0
     everywhere; a callable values(i, j) supplies individual targets."""
+    n, n_e = _require_size(n, "n"), _require_size(n_e, "n_e")
     rng = np.random.default_rng(seed)
     rows, cols, vals = [], [], []
     for i in range(1, n + 1):

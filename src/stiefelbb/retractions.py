@@ -62,16 +62,16 @@ def gtau_function(name):
 
 
 def _entry_max(*blocks):
-    """The largest |entry| of each block, the bounds of _checked_jinv."""
+    """The largest |entry| of each block, the bounds of _checked_jinv_k."""
     return tuple(float(np.abs(m).max()) for m in blocks)
 
 
-def _checked_jinv(k, m1, m2, bounds, tau, g):
-    """J^{-1} for J = K + tau^2/4 M1 + g(tau) M2, through numpy's LAPACK.
+def _checked_jinv_k(k, m1, m2, bounds, tau, g):
+    """J^{-1} K for J = K + tau^2/4 M1 + g(tau) M2, one LAPACK gesv solve.
 
     Raises LinAlgError, so that the line search shrinks the step without an
     evaluation, when J would not be finite (an overflowing or NaN tau), when
-    J is singular (an exact zero pivot) or when J^{-1} is not finite. The
+    J is singular (an exact zero pivot) or when J^{-1} K is not finite. The
     first test runs before J is formed, in Python floats, which overflow
     without a warning: with bounds = (max|K|, max|M1|, max|M2|) the same sum
     bounds every entry of J.
@@ -81,19 +81,19 @@ def _checked_jinv(k, m1, m2, bounds, tau, g):
         raise np.linalg.LinAlgError(
             "J not finite; the trial stepsize is catastrophically large"
         )
-    jinv = np.linalg.inv(k + a * m1 + b * m2)
-    if not np.isfinite(jinv).all():
+    jinv_k = np.linalg.solve(k + a * m1 + b * m2, k)
+    if not np.isfinite(jinv_k).all():
         raise np.linalg.LinAlgError("J numerically singular")
-    return jinv
+    return jinv_k
 
 
 class _NewCurve:
     """Y(tau) = (2X + tau W) J(tau)^{-1} K - X, J = K + tau^2/4 W^T H W + g(tau) X^T H D.
 
     The new scheme on {X^T H X = K}; Stiefel is H = K = I, the default k,
-    where the product J^{-1} K is exact. W and the tau-independent blocks
-    come from the builder; each eval costs one p x p assembly, inverse and
-    product and one n x p GEMM.
+    where the solve against K = I is numpy's inverse bit for bit. W and the
+    tau-independent blocks come from the builder; each eval costs one p x p
+    assembly, one p x p solve and one n x p GEMM.
     """
 
     def __init__(self, x, d, w, wthw, xthd, gtau, k=None):
@@ -107,8 +107,8 @@ class _NewCurve:
         self._bounds = _entry_max(self.k, wthw, xthd)
 
     def eval(self, tau):
-        jinv = _checked_jinv(self.k, self.wthw, self.xthd, self._bounds, tau, self.g)
-        return (2.0 * self.x + tau * self.w) @ (jinv @ self.k) - self.x
+        jinv_k = _checked_jinv_k(self.k, self.wthw, self.xthd, self._bounds, tau, self.g)
+        return (2.0 * self.x + tau * self.w) @ jinv_k - self.x
 
 
 def _literal_curve(x, e, gtau):

@@ -27,7 +27,6 @@ from .retractions import (
     _literal_curve,
 )
 from .stepsize import (
-    EPS_MAX,
     LineSearchError,
     ReferenceState,
     abb,
@@ -70,8 +69,8 @@ class SolverConfig:
     A zero eps, eps_x or eps_f fires only on an exact zero or stall. seed
     draws the random start when x0 is omitted. tau0 is the first trial
     step; None takes 0.5 / ||D_rho(x0)||. The stopping window
-    WINDOW_T, REORTH_TOL for the returned point, the step cap max_turn of
-    the Stiefel geometry and the line-search constants of stepsize are fixed.
+    WINDOW_T, REORTH_TOL for the returned point and the safeguard band and
+    line-search constants of stepsize are fixed.
     rho acts on the Stiefel geometry only: on the unit spheres D_rho is the
     same for every rho, and the generalized geometry's D = G X^T H^2 X -
     H X G^T H X is, at H = K = I, D_rho at rho = 1/2 whatever rho says.
@@ -143,14 +142,6 @@ def _check_finite(f, d_norm, where):
 
 class _StiefelEngine:
     """Curves and bookkeeping on {X in R^{n x p} : X^T X = I_p}."""
-
-    # the safeguard band's eps_max for this geometry, the cap on tau ||D||_F
-    # of each trial step after the first (cond(J) <= 65 at 16). As
-    # tau grows the new curve turns X towards -X, where an even objective
-    # has nearly the same F; the secant pair, about (-2X, -2D), then drove
-    # the next BB step to 1.4e-12 and balogh 1000x10 (instance seed 180110,
-    # start seed 80110) stopped after 6 iterations at F = 32643, optimum -5.41
-    max_turn = 16.0
 
     def __init__(self, cfg: SolverConfig):
         self.scheme = cfg.scheme
@@ -228,15 +219,6 @@ class _SphereEngine:
     """The same loop on {V in R^{r x n} : every column has unit norm}; it
     runs only the drift-safe curve of the new scheme."""
 
-    # the band's EPS_MAX: with a cold first step in every sub-solve,
-    # tau ||D||_F <= 2 took the outer loop on ex3_matrix(200), r = 10, with
-    # sample_fixed_entries(200, 3, seed=4) from 2400 to 20013 iterations;
-    # with the carried step it takes 37,091 iterations and 47,013 nfge
-    # against 40,594 and 51,350 over 23 such pin patterns; REORTH_TOL = 1e-13
-    # alone moves those to 41,134 and 49,763, so the gap is not yet told
-    # apart from roundoff noise in the counts
-    max_turn = EPS_MAX
-
     def direction(self, v, g):
         vg = np.einsum("ij,ij->j", v, g)
         d = g - v * vg
@@ -261,8 +243,6 @@ class _SphereEngine:
 
 class _GeneralizedEngine:
     """The loop on {X : X^T H X = K}; BB inner products are taken directly."""
-
-    max_turn = EPS_MAX  # no lower cap has been measured on this geometry
 
     def __init__(self, cfg: SolverConfig, gc: GeneralizedConstraint):
         self.gc = gc
@@ -437,7 +417,7 @@ def iterate_once(state: SolverState) -> SolverState:
         # degenerate secant pair: fall back to the previous safeguarded step
         tau0 = state.tau1
     if d_new_norm > 0.0:
-        state.tau1 = safeguard(tau0, d_new_norm, eng.max_turn)
+        state.tau1 = safeguard(tau0, d_new_norm)
 
     # diminishing-change test on the windowed means
     state.tolx_win.append(math.sqrt(ss) / eng.dim_scale(state.x))

@@ -28,8 +28,9 @@ __all__ = [
 # secant pair; the caller then reuses the previous safeguarded trial step
 DEGENERATE_REL = 1e-16
 
-# the safeguard band eps_min, eps_max and Delta; tau ||D||_F <= EPS_MAX
-# bounds cond(J) by (5 + EPS_MAX^2)/4
+# the safeguard band's edges on tau ||D||_F and the cap Delta on tau, the
+# same on every geometry; tau ||D||_F <= EPS_MAX bounds cond(J) by
+# (5 + EPS_MAX^2)/4
 EPS_MIN = 1e-8
 EPS_MAX = 1e8
 DELTA_CAP = 1e10
@@ -80,14 +81,12 @@ def abb(k: int, s, y, ss: float) -> Optional[float]:
     return bb_long(s, y, ss)
 
 
-def safeguard(tau0: float, d_norm: float, eps_max: float = EPS_MAX) -> float:
-    """Clamp a trial step into [EPS_MIN/||D||, min(eps_max/||D||, DELTA_CAP)];
-    eps_max is the band's upper edge on tau ||D||_F, EPS_MAX unless the
-    geometry caps it lower."""
+def safeguard(tau0: float, d_norm: float) -> float:
+    """Clamp a trial step into [EPS_MIN/||D||, min(EPS_MAX/||D||, DELTA_CAP)]."""
     if d_norm <= 0.0:
         raise ValueError("safeguard needs ||D|| > 0 (stationary point reached)")
     lo = EPS_MIN / d_norm
-    hi = min(eps_max / d_norm, DELTA_CAP)
+    hi = min(EPS_MAX / d_norm, DELTA_CAP)
     return max(lo, min(tau0, hi))
 
 

@@ -156,6 +156,9 @@ class TestHeterogeneousQuadratic:
             HeterogeneousQuadraticProblem(5, 2, [-1.0, 0.0])  # nonnegative
         with pytest.raises(ValueError):
             HeterogeneousQuadraticProblem(2, 3, [-1.0, -1.0, -1.0])
+        for bad in (np.nan, -np.inf):  # NaN passes the sign test
+            with pytest.raises(ValueError, match="planted values l contain non-finite"):
+                HeterogeneousQuadraticProblem(10, 2, [bad, -1.0])
 
     def test_finite_differences(self):
         prob = heterogeneous_problem(7, 3, l_mode="random", seed=13)
@@ -234,6 +237,43 @@ class TestLowRankCorr:
             v = rng.standard_normal((3, 12))
             v /= np.linalg.norm(v, axis=0)
             fd_gradient_check(prob, v, seed=seed + 1)
+
+
+class TestSizes:
+    # sizes follow the solver's rule for budgets: an int or a numpy integer
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: TraceEigenProblem(np.eye(4), 2.5), "p"),
+            (lambda: TraceEigenProblem(np.eye(4), 2.0), "p"),
+            (lambda: TraceEigenProblem(lambda x: x, 2, n=4.0), "n"),
+            (lambda: HeterogeneousQuadraticProblem(10.0, 2, [-1.0, -1.0]), "n"),
+            (lambda: HeterogeneousQuadraticProblem(10, 2.0, [-1.0, -1.0]), "p"),
+            (lambda: heterogeneous_problem(10, 2.0), "p"),
+            (lambda: heterogeneous_problem(10, 2.5, "random", seed=0), "p"),
+            (lambda: LowRankCorrProblem(np.eye(3), 2.5), "r"),
+            (lambda: modified_pca_init(np.eye(3), 2.0), "r"),
+            (lambda: ex2_matrix(2.5), "n"),
+            (lambda: gen_ex3(2.5), "n"),
+            (lambda: ex3_weights(20.0), "n"),
+            (lambda: sample_fixed_entries(20.0), "n"),
+            (lambda: sample_fixed_entries(20, 2.5), "n_e"),
+        ],
+        ids=["eigen-p", "eigen-p-float-int", "eigen-free-n", "balogh-n", "balogh-p",
+             "generator-p", "generator-random-p", "corr-r", "pca-r", "ex2-n", "ex3-n",
+             "weights-n", "pins-n", "pins-n_e"],
+    )
+    def test_non_integer_size_rejected(self, build, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            build()
+
+    def test_numpy_integer_sizes_accepted(self):
+        balogh = heterogeneous_problem(np.int64(10), np.int32(2))
+        corr = LowRankCorrProblem(np.eye(3), np.int64(2))
+        eigen = TraceEigenProblem(lambda x: x, np.int64(2), n=np.int64(4))
+        assert (balogh.shape, corr.shape, eigen.shape) == ((10, 2), (2, 3), (4, 2))
+        assert all(type(v) is int for v in (*balogh.shape, *corr.shape, *eigen.shape))
+        assert modified_pca_init(ex3_matrix(3), np.int64(2)).shape == (2, 3)
 
 
 class TestCorrelationTargets:

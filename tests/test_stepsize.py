@@ -97,15 +97,11 @@ class TestSafeguard:
     def test_upper_clamp(self):
         assert safeguard(1e12, 1.0) == pytest.approx(1e8)
 
-    def test_geometry_upper_edge(self):
-        # a geometry's eps_max replaces EPS_MAX as the band's upper edge
-        assert safeguard(1e12, 1.0, 16.0) == 16.0
-
     def test_lower_clamp_catches_zero_trial(self):
         assert safeguard(0.0, 2.0) == pytest.approx(5e-9)
 
     def test_cap_applies_for_tiny_direction(self):
-        # eps_max / ||D|| = 1e16 exceeds the cap, so Delta wins
+        # EPS_MAX / ||D|| = 1e16 exceeds the cap, so Delta wins
         assert safeguard(1e14, 1e-8) == pytest.approx(1e10)
 
     def test_band_membership_randomized(self):
