@@ -10,7 +10,6 @@ from stiefelbb import (
     GTAU_NAMES,
     GTAU_SENSITIVE,
     SCHEME_KINDS,
-    RetractionScheme,
     SolverConfig,
     TraceEigenProblem,
     random_stiefel,
@@ -34,8 +33,7 @@ def main():
         # g(tau) acts only on the kinds in GTAU_SENSITIVE
         gtaus = GTAU_NAMES if kind in GTAU_SENSITIVE else (None,)
         for gtau in gtaus:
-            scheme = RetractionScheme(kind=kind, gtau=gtau or "linear")
-            rep = solve(prob, x0, SolverConfig(scheme=scheme))
+            rep = solve(prob, x0, SolverConfig(scheme=kind, gtau=gtau or "linear"))
             print(f"{kind:>10} {gtau or '-':>10} {rep.f_final:>14.8f} "
                   f"{rep.feasi:>9.1e} {rep.nfge:>5} {rep.iters:>5} "
                   f"{rep.stop_reason:>14}")

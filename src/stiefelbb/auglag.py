@@ -144,12 +144,6 @@ class AugLagSubproblem(_FgProblem):
         return f + 0.5 * self.mu * float(np.vdot(r, r)), 2.0 * (v @ w)
 
 
-def _sub_config(cfg: AugLagConfig, eps, eps_x, eps_f, tau0) -> SolverConfig:
-    return SolverConfig(
-        eps=eps, eps_x=eps_x, eps_f=eps_f, max_iter=cfg.sub_max_iter, tau0=tau0
-    )
-
-
 def auglag_solve(
     base: LowRankCorrProblem,
     fes: FixedEntrySet,
@@ -181,7 +175,11 @@ def auglag_solve(
 
     for _ in range(cfg.max_outer):
         prob = AugLagSubproblem(base, fes, lam, mu)
-        rep = solve(prob, v, _sub_config(cfg, *tols, tau0))
+        eps, eps_x, eps_f = tols
+        sub_cfg = SolverConfig(
+            eps=eps, eps_x=eps_x, eps_f=eps_f, max_iter=cfg.sub_max_iter, tau0=tau0
+        )
+        rep = solve(prob, v, sub_cfg)
         sub_reports.append(rep)
         v = rep.x_final
         nu = fes.violation(v)

@@ -43,7 +43,7 @@ from .problems import (
     sample_fixed_entries,
 )
 from .auglag import AugLagConfig, auglag_solve
-from .retractions import GTAU_NAMES, GTAU_SENSITIVE, RetractionScheme, SCHEME_KINDS
+from .retractions import GTAU_NAMES, GTAU_SENSITIVE, SCHEME_KINDS
 from .solver import SolverConfig, solve
 
 __all__ = [
@@ -191,7 +191,7 @@ def drift_demo(n, p, steps, controlled, seed=0) -> List[float]:
     prob = TraceEigenProblem(_tridiag_mul, p, n=n)
     x0 = random_stiefel(n, p, seed)
     cfg = SolverConfig(
-        scheme=RetractionScheme("new" if controlled else "literal"),
+        scheme="new" if controlled else "literal",
         eps=0.0, eps_x=0.0, eps_f=0.0,  # stop only on an exact zero or stall
         max_iter=steps,
         track_feasibility=True,
@@ -205,13 +205,14 @@ def drift_demo(n, p, steps, controlled, seed=0) -> List[float]:
 # experiment assembly
 
 
-def _solver_config(args, kind, rho, gtau) -> SolverConfig:
+def _solver_config(args, scheme, rho, gtau) -> SolverConfig:
     """The solver settings of one configuration; the tolerance flags left
     unset keep the SolverConfig defaults."""
     tols = {k: getattr(args, k) for k in ("eps", "eps_x", "eps_f", "max_iter")}
     return SolverConfig(
         rho=rho,
-        scheme=RetractionScheme(kind, gtau),
+        scheme=scheme,
+        gtau=gtau,
         **{k: v for k, v in tols.items() if v is not None},
     )
 
@@ -326,8 +327,8 @@ def _record(pid, cfg, seed, problem, x0, n, p, pins=None, sub_max_iter=None) -> 
             iters=rep.iters,
             wall_ms=rep.wall_time * 1000.0,
         )
-    return RunRecord(problem_id=pid, n=n, p=p, scheme=cfg.scheme.kind, rho=cfg.rho,
-                     gtau=cfg.scheme.gtau, seed=seed, **outcome)
+    return RunRecord(problem_id=pid, n=n, p=p, scheme=cfg.scheme, rho=cfg.rho,
+                     gtau=cfg.gtau, seed=seed, **outcome)
 
 
 def run_experiment(args) -> List[RunRecord]:

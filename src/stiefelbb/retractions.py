@@ -10,7 +10,6 @@ only the small tau-dependent work.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -21,7 +20,6 @@ __all__ = [
     "SCHEME_KINDS",
     "GTAU_NAMES",
     "GTAU_SENSITIVE",
-    "RetractionScheme",
     "GeneralizedConstraint",
     "retract_new",
     "retract_polar",
@@ -34,8 +32,6 @@ __all__ = [
     "polar_project",
     "gtau_function",
 ]
-
-GTAU_NAMES = ("linear", "expdamped")
 
 # kinds whose J(tau) contains the g(tau) X^T E term (on unit spheres that
 # term is zero); gtau is ignored elsewhere
@@ -51,6 +47,7 @@ def _g_expdamped(tau):
 
 
 _GTAU = {"linear": _g_linear, "expdamped": _g_expdamped}
+GTAU_NAMES = tuple(_GTAU)
 
 
 def gtau_function(name):
@@ -319,26 +316,6 @@ _CURVES = {
     "lowrank": _LowRankCurve,
 }
 SCHEME_KINDS = ("new", "literal", *_CURVES)
-
-
-@dataclass(frozen=True)
-class RetractionScheme:
-    """A scheme family member: its kind and g(tau) choice.
-
-    "new" is the drift-safe construction of the new scheme; "literal" takes
-    the same formulas as written, so feasibility error feeds back into the
-    iterates. gtau acts on GTAU_SENSITIVE only. The sphere and generalized
-    geometries run only "new", and on the spheres gtau does not act.
-    """
-
-    kind: str = "new"
-    gtau: str = "linear"
-
-    def __post_init__(self):
-        if self.kind not in SCHEME_KINDS:
-            raise ValueError(f"unknown scheme kind {self.kind!r}, expected one of {SCHEME_KINDS}")
-        if self.gtau not in GTAU_NAMES:
-            raise ValueError(f"unknown gtau {self.gtau!r}, expected one of {GTAU_NAMES}")
 
 
 class GeneralizedConstraint:

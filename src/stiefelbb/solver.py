@@ -19,8 +19,9 @@ import scipy.linalg
 from .manifold import _d_rho, feasibility_error, qr_positive
 from .retractions import (
     _CURVES,
+    GTAU_NAMES,
+    SCHEME_KINDS,
     GeneralizedConstraint,
-    RetractionScheme,
     _NewCurve,
     _generalized_curve,
     _generalized_direction,
@@ -65,7 +66,12 @@ WINDOW_T = 5
 class SolverConfig:
     """Tunables of the descent loop; defaults match the recommended setting.
 
-    eps is relative: the loop stops once ||D_rho|| <= eps ||D_rho(x0)||.
+    scheme is the curve's kind, one of SCHEME_KINDS: "new" is the drift-safe
+    construction of the new scheme, and "literal" takes the same formulas as
+    written, so feasibility error feeds back into the iterates. gtau, one of
+    GTAU_NAMES, acts on the GTAU_SENSITIVE kinds only. The sphere and
+    generalized geometries run only "new", and on the spheres gtau does not
+    act. eps is relative: the loop stops once ||D_rho|| <= eps ||D_rho(x0)||.
     A zero eps, eps_x or eps_f fires only on an exact zero or stall. seed
     draws the random start when x0 is omitted. tau0 is the first trial
     step; None takes 0.5 / ||D_rho(x0)||. The stopping window
@@ -77,7 +83,8 @@ class SolverConfig:
     """
 
     rho: float = 0.25
-    scheme: RetractionScheme = field(default_factory=RetractionScheme)
+    scheme: str = "new"
+    gtau: str = "linear"
     eps: float = 1e-5
     eps_x: float = 1e-5
     eps_f: float = 1e-8
@@ -87,8 +94,10 @@ class SolverConfig:
     tau0: Optional[float] = None
 
     def __post_init__(self):
-        if not isinstance(self.scheme, RetractionScheme):
-            raise TypeError("scheme must be a RetractionScheme")
+        if self.scheme not in SCHEME_KINDS:
+            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEME_KINDS}")
+        if self.gtau not in GTAU_NAMES:
+            raise ValueError(f"unknown gtau {self.gtau!r}, expected one of {GTAU_NAMES}")
         if not 0.0 < self.rho < math.inf:
             raise ValueError("rho must be positive and finite")
         for name in ("eps", "eps_x", "eps_f"):
@@ -144,7 +153,8 @@ class _StiefelEngine:
     """Curves and bookkeeping on {X in R^{n x p} : X^T X = I_p}."""
 
     def __init__(self, cfg: SolverConfig):
-        self.scheme = cfg.scheme
+        self.kind = cfg.scheme
+        self.gtau = cfg.gtau
         self.rho = cfg.rho
 
     def direction(self, x, g):
@@ -156,7 +166,7 @@ class _StiefelEngine:
         """The curve of the configured kind and its slope at tau = 0: -<G, D>
         for the curves that leave X along -D_rho, -slope_inner for those
         built from G."""
-        kind = self.scheme.kind
+        kind = self.kind
         if kind == "new":
             # drift-safe variant: the J block takes the expression
             # 2 rho (X^T G - G^T X), which equals X^T D_rho on the
@@ -169,14 +179,14 @@ class _StiefelEngine:
             # eps_mach ||G|| that accumulates over long runs).
             xte = (2.0 * self.rho) * (xtg - xtg.T)
             w = x @ np.linalg.solve(x.T @ x, x.T @ d) - d
-            curve = _NewCurve(x, d, w, w.T @ w, xte, self.scheme.gtau)
+            curve = _NewCurve(x, d, w, w.T @ w, xte, self.gtau)
         elif kind == "literal":
             # formulas evaluated as written: both the projection
             # W = -(I - X X^T) D_rho and the J block X^T D_rho are taken
             # literally.  Once X drifts, X^T W = (X^T X - I) X^T D != 0 and
             # sym(X^T D) != 0, and both feed the drift back into the next
             # iterate, so orthonormality error grows along the run.
-            curve = _literal_curve(x, d, self.scheme.gtau)
+            curve = _literal_curve(x, d, self.gtau)
         elif getattr(_CURVES[kind], "follows_g", False):
             curve = _CURVES[kind](x, g, xtg)
             return curve, -curve.slope_inner
@@ -246,7 +256,7 @@ class _GeneralizedEngine:
 
     def __init__(self, cfg: SolverConfig, gc: GeneralizedConstraint):
         self.gc = gc
-        self.gtau = cfg.scheme.gtau
+        self.gtau = cfg.gtau
 
     def direction(self, x, g):
         return _generalized_direction(x, g, self.gc.h)
@@ -305,7 +315,7 @@ def _make_engine(problem, cfg, gc):
         raise ValueError(f"unknown problem manifold {manifold!r}")
     # the curves of the other kinds are built for X^T X = I_p only, and
     # these geometries have only the drift-safe curve
-    if cfg.scheme.kind != "new":
+    if cfg.scheme != "new":
         raise ValueError(f"the {manifold!r} geometry supports only scheme kind 'new'")
     return _SphereEngine() if manifold == "spheres" else _GeneralizedEngine(cfg, gc)
 

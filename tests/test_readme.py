@@ -21,3 +21,16 @@ def test_quick_start_and_line_search_examples_run(capsys):
     assert scope["rep"].stop_reason in ("ResidualRel", "WindowedMeans")
     assert scope["evals"] >= 1
     assert scope["f_new"] <= scope["f"]
+
+
+def test_choosing_a_scheme_block_configures_a_solve(capsys):
+    # the scheme block's cfg solves the quick start's problem
+    scope = {}
+    exec(python_block("## Quick start"), scope)
+    exec(python_block("### Choosing a scheme"), scope)
+    capsys.readouterr()
+    cfg = scope["cfg"]
+    assert (cfg.scheme, cfg.gtau) == ("new", "expdamped")
+    rep = scope["solve"](scope["prob"], scope["random_stiefel"](300, 5, seed=1), cfg)
+    assert rep.stop_reason in ("ResidualRel", "WindowedMeans")
+    assert rep.feasi <= 1e-13

@@ -5,7 +5,6 @@ import pytest
 
 from stiefelbb import (
     GeneralizedConstraint,
-    RetractionScheme,
     SolverConfig,
     TraceEigenProblem,
     compute_d_rho,
@@ -56,7 +55,7 @@ def solver_engine(shape, controlled=True):
     """The engine the solver runs for the "new" kind (or, uncontrolled, the
     "literal" kind), as prepare_state builds it."""
     n, p = shape
-    cfg = SolverConfig(scheme=RetractionScheme("new" if controlled else "literal"))
+    cfg = SolverConfig(scheme="new" if controlled else "literal")
     start = random_stiefel(n, p, seed=0)
     return prepare_state(TraceEigenProblem(np.eye(n), p), start, cfg).engine
 
@@ -72,20 +71,6 @@ STANDARD_KINDS = ("new", "polar", "qr", "gp", "wenyin", "geodesic", "lowrank")
 
 
 class TestSchemeDataclass:
-    def test_defaults(self):
-        s = RetractionScheme()
-        assert s.kind == "new" and s.gtau == "linear"
-
-    def test_unknown_kind_rejected(self):
-        # the constraint, not the kind, selects the X^T H X = K geometry
-        for kind in ("cayley", "generalized"):
-            with pytest.raises(ValueError):
-                RetractionScheme(kind=kind)
-
-    def test_unknown_gtau_rejected(self):
-        with pytest.raises(ValueError):
-            RetractionScheme(gtau="sine")
-
     def test_gtau_lookup(self):
         assert gtau_function("linear")(3.0) == pytest.approx(1.5)
         assert gtau_function("expdamped")(2.0) == pytest.approx(np.exp(-2.0))
@@ -689,7 +674,7 @@ class TestBuilderInputs:
         # -<G, E>, whether the engine or the public builder forms X^T G
         x = random_stiefel(9, 3, seed=72)
         g = np.asfortranarray(np.random.default_rng(73).standard_normal((9, 3)))
-        engine = _StiefelEngine(SolverConfig(scheme=RetractionScheme(kind)))
+        engine = _StiefelEngine(SolverConfig(scheme=kind))
         d, xtg = engine.direction(x, g)
         _, slope = engine.curve_and_slope(x, g, d, xtg)
         assert slope == -scheme_curve(kind, x, g).slope_inner

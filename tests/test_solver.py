@@ -4,6 +4,7 @@ import copy
 import math
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from stiefelbb import (
     GeneralizedConstraint,
     HeterogeneousQuadraticProblem,
     LowRankCorrProblem,
-    RetractionScheme,
     SolverConfig,
     STOP_REASONS,
     TraceEigenProblem,
@@ -59,7 +59,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = SolverConfig()
         assert cfg.rho == 0.25
-        assert cfg.scheme == RetractionScheme("new", "linear")
+        assert cfg.scheme == "new" and cfg.gtau == "linear"
         assert cfg.eps == 1e-5 and cfg.eps_x == 1e-5 and cfg.eps_f == 1e-8
         assert cfg.max_iter == 3000 and cfg.seed is None
         assert solver.WINDOW_T == 5 and solver.REORTH_TOL == 1e-14
@@ -80,11 +80,15 @@ class TestConfig:
             dict(max_iter=math.nan),
             dict(max_iter=1.5),
             dict(max_iter=3.0),
+            # the constraint, not the kind, selects the X^T H X = K geometry
+            dict(scheme="cayley"),
+            dict(scheme="generalized"),
+            dict(gtau="sine"),
+            # the kind itself, not an object that carries one
+            dict(scheme=SimpleNamespace(kind="qr", gtau="linear")),
         ):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 SolverConfig(**bad)
-        with pytest.raises(TypeError):
-            SolverConfig(scheme="polar")
         assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
 
     @pytest.mark.parametrize("tau0", [0.0, -1e-3, math.nan, math.inf])
@@ -194,7 +198,7 @@ class TestEigenSolve:
         prob = TraceEigenProblem(np.diag(np.arange(8, 0, -1.0)), 2)
         x0 = random_stiefel(8, 2, seed=3)
         for kind in ALL_KINDS:
-            rep = solve(prob, x0, SolverConfig(scheme=RetractionScheme(kind=kind)))
+            rep = solve(prob, x0, SolverConfig(scheme=kind))
             assert rep.f_final == pytest.approx(-15.0, abs=tight.get(kind, 2e-3)), kind
             assert rep.feasi <= 1e-13, kind
 
@@ -260,7 +264,7 @@ class TestReportAccounting:
         # reorthogonalized and F there is 8.6e-3 from the last accepted value
         counted = CountingProblem(TraceEigenProblem(_tridiag_mul, 6, n=200))
         cfg = SolverConfig(
-            scheme=RetractionScheme("literal"),
+            scheme="literal",
             eps=0.0,
             eps_x=0.0,
             eps_f=0.0,
@@ -545,7 +549,7 @@ class TestSphereGeometry:
         # the sphere curve exists only in its drift-safe construction
         prob = self.small_corr_problem()
         with pytest.raises(ValueError, match="only scheme kind 'new'"):
-            solve(prob, cfg=SolverConfig(scheme=RetractionScheme(kind=kind)))
+            solve(prob, cfg=SolverConfig(scheme=kind))
 
 
 class TestGeneralizedSolve:
@@ -621,9 +625,8 @@ class TestGeneralizedSolve:
         # the generalized curve exists only in its drift-safe construction
         prob = random_eigen(6, 2, seed=27)
         gc = GeneralizedConstraint(np.eye(6), np.eye(2))
-        scheme = RetractionScheme(kind=kind)
         with pytest.raises(ValueError, match="only scheme kind 'new'"):
-            solve_generalized(prob, random_stiefel(6, 2, seed=27), gc, SolverConfig(scheme=scheme))
+            solve_generalized(prob, random_stiefel(6, 2, seed=27), gc, SolverConfig(scheme=kind))
 
     def test_infeasible_start_projected_then_solved(self):
         n, p = 10, 2

@@ -9,7 +9,6 @@ import pytest
 from stiefelbb import (
     LineSearchError,
     ReferenceState,
-    RetractionScheme,
     SolverConfig,
     TraceEigenProblem,
     abb,
@@ -165,7 +164,7 @@ def make_problem(n=10, p=3, seed=0):
     return TraceEigenProblem(a + a.T, p)
 
 
-def first_step(prob, x, scheme=RetractionScheme()):
+def first_step(prob, x, scheme="new"):
     """The loop state at x and the curve and slope of the solver's first step."""
     state = prepare_state(prob, x, SolverConfig(scheme=scheme))
     curve, slope = state.engine.curve_and_slope(state.x, state.g, state.d, state.ctx)
@@ -264,7 +263,7 @@ class TestArmijoBacktrack:
         prob = make_problem(seed=5)
         x = random_stiefel(10, 3, seed=13)
         for kind in ("new", "polar", "qr", "gp", "wenyin", "geodesic", "lowrank"):
-            state, curve, slope = first_step(prob, x, RetractionScheme(kind=kind))
+            state, curve, slope = first_step(prob, x, kind)
             f0 = state.f
             tau, y, f_new, g_new, evals = armijo_backtrack(prob.fg, curve, slope, state.tau1, f0)
             assert f_new < f0, kind
@@ -275,7 +274,7 @@ class TestArmijoBacktrack:
         x = random_stiefel(10, 3, seed=14)
         out = {}
         for kind in ("new", "literal"):
-            state, curve, slope = first_step(prob, x, RetractionScheme(kind=kind))
+            state, curve, slope = first_step(prob, x, kind)
             out[kind] = armijo_backtrack(prob.fg, curve, slope, state.tau1, state.ref.f_r)
         assert out["new"][0] == out["literal"][0]
         np.testing.assert_allclose(out["new"][1], out["literal"][1], atol=1e-12)
