@@ -10,9 +10,10 @@ the subproblem tolerances on a capped geometric schedule.
 
 Each sub-solve starts where the last one stopped, in its point and in its
 step: the first trial step is the last sub-solve's safeguarded BB step over
-MU_GROWTH, since the penalty's curvature grows with mu. A cold first step
-of 0.5 / ||D_0|| in every sub-solve took 118,727 iterations instead of
-40,594 over 23 pin patterns of ex3_matrix(200), r = 10.
+MU_GROWTH, since the penalty's curvature grows with mu, clamped into the
+safeguard band again by the sub-solve. A cold first step of 0.5 / ||D_0||
+in every sub-solve took 118,727 iterations instead of 39,222 over 23 pin
+patterns of ex3_matrix(200), r = 10.
 """
 
 import time
@@ -176,10 +177,8 @@ def auglag_solve(
     for _ in range(cfg.max_outer):
         prob = AugLagSubproblem(base, fes, lam, mu)
         eps, eps_x, eps_f = tols
-        sub_cfg = SolverConfig(
-            eps=eps, eps_x=eps_x, eps_f=eps_f, max_iter=cfg.sub_max_iter, tau0=tau0
-        )
-        rep = solve(prob, v, sub_cfg)
+        rep = solve(prob, v, SolverConfig(eps=eps, eps_x=eps_x, eps_f=eps_f,
+                                          max_iter=cfg.sub_max_iter, tau0=tau0))
         sub_reports.append(rep)
         v = rep.x_final
         nu = fes.violation(v)

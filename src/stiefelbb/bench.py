@@ -205,18 +205,6 @@ def drift_demo(n, p, steps, controlled, seed=0) -> List[float]:
 # experiment assembly
 
 
-def _solver_config(args, scheme, rho, gtau) -> SolverConfig:
-    """The solver settings of one configuration; the tolerance flags left
-    unset keep the SolverConfig defaults."""
-    tols = {k: getattr(args, k) for k in ("eps", "eps_x", "eps_f", "max_iter")}
-    return SolverConfig(
-        rho=rho,
-        scheme=scheme,
-        gtau=gtau,
-        **{k: v for k, v in tols.items() if v is not None},
-    )
-
-
 def _ranks(args, n, default):
     """The --ranks values (default when omitted), each checked against n."""
     ranks = args.ranks or [default]
@@ -339,8 +327,11 @@ def run_experiment(args) -> List[RunRecord]:
     for kind in args.scheme:
         if args.gtau is not None and kind not in GTAU_SENSITIVE:
             print(f"warning: --gtau is ignored by scheme {kind!r}", file=sys.stderr)
+    # the tolerance flags left unset keep the SolverConfig defaults
+    tols = {k: getattr(args, k) for k in ("eps", "eps_x", "eps_f", "max_iter")}
+    tols = {k: v for k, v in tols.items() if v is not None}
     grid = itertools.product(args.scheme, args.rho, args.gtau or ["linear"])
-    configs = [_solver_config(args, *c) for c in grid]
+    configs = [SolverConfig(scheme=s, rho=r, gtau=g, **tols) for s, r, g in grid]
     seeds = range(args.seed, args.seed + args.repeat)
     solves = ((cfg, *i) for i in _instances(args, seeds) for cfg in configs)
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:

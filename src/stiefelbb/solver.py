@@ -53,10 +53,10 @@ STOP_REASONS = ("ResidualRel", "WindowedMeans", "MaxIter", "LineSearchFail")
 START_FEAS_TOL = 1e-6
 # a returned point at or beyond this feasibility error is reorthogonalized;
 # the fixed-entry outer loop starts each sub-solve from the last returned
-# point, and at 1e-13 it needs 1,073 iterations instead of 1,134 on
-# ex3_matrix(200), r = 10, with sample_fixed_entries(200, 3, seed=0), but
-# 41,134 instead of 40,594 over 23 such pin patterns (seeds 0-19, 10001,
-# 10002, 10007): roundoff-level noise in the counts, not a dependence
+# point, and at 1e-13 it needs 1,146 iterations instead of 1,003 on
+# ex3_matrix(200), r = 10, with sample_fixed_entries(200, 3, seed=0), and
+# 41,300 instead of 39,222 over 23 such pin patterns (seeds 0-19, 10001,
+# 10002, 10007), where the counts are chaotic in the last bit
 REORTH_TOL = 1e-14
 # T: the windowed-means stop averages the last T iterate and value changes
 WINDOW_T = 5
@@ -66,17 +66,16 @@ WINDOW_T = 5
 class SolverConfig:
     """Tunables of the descent loop; defaults match the recommended setting.
 
-    scheme is the curve's kind, one of SCHEME_KINDS: "new" is the drift-safe
-    construction of the new scheme, and "literal" takes the same formulas as
-    written, so feasibility error feeds back into the iterates. gtau, one of
-    GTAU_NAMES, acts on the GTAU_SENSITIVE kinds only. The sphere and
-    generalized geometries run only "new", and on the spheres gtau does not
-    act. eps is relative: the loop stops once ||D_rho|| <= eps ||D_rho(x0)||.
-    A zero eps, eps_x or eps_f fires only on an exact zero or stall. seed
-    draws the random start when x0 is omitted. tau0 is the first trial
-    step; None takes 0.5 / ||D_rho(x0)||. The stopping window
-    WINDOW_T, REORTH_TOL for the returned point and the safeguard band and
-    line-search constants of stepsize are fixed.
+    scheme is the curve's kind, one of SCHEME_KINDS ("literal" is "new" with
+    its formulas as written, so drift feeds back), and gtau, one of
+    GTAU_NAMES, acts on GTAU_SENSITIVE only; the sphere and generalized
+    geometries run only "new". eps is relative: the loop stops once
+    ||D_rho|| <= eps ||D_rho(x0)||. A zero eps, eps_x or eps_f fires only
+    on an exact zero or stall. seed draws the random start when x0 is
+    omitted. tau0 is the first trial step; None takes 0.5 / ||D_rho(x0)||,
+    and either is clamped into the safeguard band unless x0 is stationary.
+    The stopping window WINDOW_T, REORTH_TOL for the returned point and the
+    safeguard band and line-search constants of stepsize are fixed.
     rho acts on the Stiefel geometry only: on the unit spheres D_rho is the
     same for every rho, and the generalized geometry's D = G X^T H^2 X -
     H X G^T H X is, at H = K = I, D_rho at rho = 1/2 whatever rho says.
@@ -334,11 +333,19 @@ def prepare_state(problem, x0=None, cfg=None, gc=None) -> SolverState:
         if shape is not None and x0.shape != tuple(shape):
             raise ValueError(f"x0 has shape {x0.shape}, the problem needs {tuple(shape)}")
         if gc is not None:
-            if engine.feasibility(x0) > 1e-12 * max(1.0, float(np.linalg.norm(gc.k))):
-                x0 = engine.reorthogonalize(x0)
+            scale = max(1.0, float(np.linalg.norm(gc.k)))
+            if engine.feasibility(x0) > 1e-12 * scale:
+                try:  # a singular X^T H X may have a factor that projects off the set
+                    x0 = engine.reorthogonalize(x0)
+                    projected = engine.feasibility(x0) <= START_FEAS_TOL * scale
+                except np.linalg.LinAlgError:
+                    projected = False
+                if not projected:
+                    raise ValueError("x0 cannot be projected onto X^T H X = K: "
+                                     "X^T H X is not numerically positive definite")
         else:
             feas = engine.feasibility(x0)
-            if feas > START_FEAS_TOL:
+            if not feas <= START_FEAS_TOL:  # NaN-safe: a non-finite x0 fails too
                 raise ValueError(
                     f"x0 violates the constraint set: feasibility error {feas:.3e}"
                 )
@@ -347,10 +354,11 @@ def prepare_state(problem, x0=None, cfg=None, gc=None) -> SolverState:
     d, ctx = engine.direction(x0, g0)
     d_norm = float(np.linalg.norm(d))
     _check_finite(f0, d_norm, "at the starting point")
-    if cfg.tau0 is not None:
-        tau1 = cfg.tau0
+    if d_norm > 0.0:
+        # the first trial step lies in the safeguard band, like every later one
+        tau1 = safeguard(0.5 / d_norm if cfg.tau0 is None else cfg.tau0, d_norm)
     else:
-        tau1 = 0.5 / d_norm if d_norm > 0.0 else 1.0
+        tau1 = 1.0 if cfg.tau0 is None else cfg.tau0
     state = SolverState(
         problem=problem,
         cfg=cfg,

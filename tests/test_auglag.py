@@ -292,6 +292,13 @@ class TestAugLagSolve:
         first = AugLagSubproblem(base, fes, np.zeros(len(fes)), 1.0)
         assert rep.f_initial == first.value(v0)
 
+    def test_nonfinite_start_names_v0(self):
+        base, fes = synthetic_weak_instance()
+        v0 = modified_pca_init(base.c, base.r)
+        v0[0, 0] = np.nan
+        with pytest.raises(ValueError, match="x0 violates the constraint set"):
+            auglag_solve(base, fes, v0=v0)
+
     def test_defaults(self):
         cfg = AugLagConfig()
         assert (cfg.sub_max_iter, cfg.max_outer, cfg.seed) == (2000, 30, None)

@@ -116,6 +116,13 @@ class TestFirstStep:
         assert (a.iters, a.nfge, a.stop_reason) == (b.iters, b.nfge, b.stop_reason)
         assert a.tau_next == b.tau_next
 
+    @pytest.mark.parametrize("tau0, edge", [(1e30, "EPS_MAX"), (1e-30, "EPS_MIN")])
+    def test_tau0_is_clamped_into_the_safeguard_band(self, tau0, edge):
+        # an unclamped 1e30 is a wrapping step that F_r = inf accepts
+        prob = heterogeneous_problem(200, 4, "random", seed=100001)
+        state = prepare_state(prob, random_stiefel(200, 4, seed=1), SolverConfig(tau0=tau0))
+        assert state.tau1 * state.d0_norm == pytest.approx(getattr(stepsize, edge), rel=1e-15)
+
     @pytest.mark.parametrize("max_iter", [0, 3, 3000])
     def test_tau_next_is_a_positive_finite_step(self, max_iter):
         prob = random_eigen(25, 3, seed=11)
@@ -484,6 +491,14 @@ class TestStartValidation:
         with pytest.raises(FloatingPointError, match="gradient non-finite at iterate 1"):
             solve(NanGradient(random_eigen(8, 2, seed=17), 1), x0)
 
+    def test_nonfinite_start_on_the_spheres_names_x0(self):
+        # a NaN start is blamed on x0, not on the objective evaluated there
+        prob = gen_ex2(20, 3)
+        v = modified_pca_init(prob.c, 3)
+        v[0, 0] = math.nan
+        with pytest.raises(ValueError, match="x0 violates the constraint set"):
+            solve(prob, v)
+
     def test_random_start_used_when_x0_missing(self):
         prob = random_eigen(12, 2, seed=18)
         rep = solve(prob, cfg=SolverConfig(seed=18))
@@ -627,6 +642,20 @@ class TestGeneralizedSolve:
         gc = GeneralizedConstraint(np.eye(6), np.eye(2))
         with pytest.raises(ValueError, match="only scheme kind 'new'"):
             solve_generalized(prob, random_stiefel(6, 2, seed=27), gc, SolverConfig(scheme=kind))
+
+    @pytest.mark.parametrize("case", ["negative-h", "equal-columns"])
+    def test_unprojectable_start_says_why(self, case):
+        prob = random_eigen(10, 2, seed=28)
+        x0 = np.random.default_rng(28).standard_normal((10, 2))
+        if case == "negative-h":
+            gc = GeneralizedConstraint(-np.eye(10), np.eye(2))
+        else:
+            # X^T X is singular, yet here it has a Cholesky factor in roundoff,
+            # whose projection lands far off the set
+            gc = GeneralizedConstraint(np.eye(10), np.eye(2))
+            x0[:, 1] = x0[:, 0]
+        with pytest.raises(ValueError, match="not numerically positive definite"):
+            solve_generalized(prob, x0, gc)
 
     def test_infeasible_start_projected_then_solved(self):
         n, p = 10, 2
