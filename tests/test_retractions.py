@@ -71,6 +71,22 @@ STANDARD_KINDS = ("new", "polar", "qr", "gp", "wenyin", "geodesic", "lowrank")
 
 
 class TestSchemeDataclass:
+    """The scheme kind and g(tau) fields of SolverConfig."""
+
+    def test_defaults(self):
+        cfg = SolverConfig()
+        assert cfg.scheme == "new" and cfg.gtau == "linear"
+
+    def test_unknown_kind_rejected(self):
+        # the constraint, not the kind, selects the X^T H X = K geometry
+        for kind in ("cayley", "generalized"):
+            with pytest.raises(ValueError, match="scheme"):
+                SolverConfig(scheme=kind)
+
+    def test_unknown_gtau_rejected(self):
+        with pytest.raises(ValueError, match="gtau"):
+            SolverConfig(gtau="sine")
+
     def test_gtau_lookup(self):
         assert gtau_function("linear")(3.0) == pytest.approx(1.5)
         assert gtau_function("expdamped")(2.0) == pytest.approx(np.exp(-2.0))
