@@ -8,7 +8,7 @@ formulas as written. The literal version lets roundoff in X^T X feed back
 into every step.
 """
 
-from stiefelbb import drift_demo
+from stiefelbb.bench import drift_demo
 
 
 def main():

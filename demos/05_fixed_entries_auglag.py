@@ -19,7 +19,7 @@ from stiefelbb import (
 def main():
     n, r = 200, 10
     c = ex3_matrix(n)
-    prob = LowRankCorrProblem(c, r, name="demo")
+    prob = LowRankCorrProblem(c, r)
     fes = sample_fixed_entries(n, n_e=3, seed=0)
     rep = auglag_solve(prob, fes, AugLagConfig(seed=0),
                        v0=modified_pca_init(c, r))

@@ -119,7 +119,6 @@ class AugLagSubproblem(_FgProblem):
         self.fes = fes
         self.mu = float(mu)
         self.shape = base.shape
-        self.name = f"{base.name}+auglag"
         self.known_optimum = None
         fes._check_n(base.n)
         lam = np.asarray(lam, dtype=float)

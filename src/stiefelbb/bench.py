@@ -272,7 +272,7 @@ def _instances(args, seeds):
         elif pid == "ex3":
             prob = gen_ex3(n, weighted=args.weighted, seed=args.seed, r=r)
         else:
-            prob = LowRankCorrProblem(c if pid == "nlcm" else ex3_matrix(n), r, name=pid)
+            prob = LowRankCorrProblem(c if pid == "nlcm" else ex3_matrix(n), r)
         x0 = modified_pca_init(prob.c, r) if args.init == "pca" else None
         pins = fes
         if pins is None and pid == "ex10":

@@ -16,7 +16,6 @@ __all__ = [
     "feasibility_error",
     "compute_d_rho",
     "sym",
-    "skew",
     "qr_positive",
     "random_stiefel",
 ]
@@ -34,11 +33,6 @@ def _as_matrix(a, name="matrix"):
 def sym(m):
     """Symmetric part (M + M^T) / 2."""
     return 0.5 * (m + m.T)
-
-
-def skew(m):
-    """Skew-symmetric part (M - M^T) / 2."""
-    return 0.5 * (m - m.T)
 
 
 def feasibility_error(x) -> float:

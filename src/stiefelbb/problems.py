@@ -3,7 +3,7 @@
 Each problem writes its objective once, in fg(x) -> (value,
 euclidean_gradient), the only method the solver calls. value(x) is F taken
 from fg, for callers that want F alone. Each also has a shape for random
-starts, a manifold tag, and metadata (name, known_optimum).
+starts, a manifold tag, and a known_optimum (None when unknown).
 """
 
 import warnings
@@ -88,7 +88,6 @@ class TraceEigenProblem(_FgProblem):
         self.n = n
         self.p = p
         self.shape = (self.n, self.p)
-        self.name = "eigen"
         self.known_optimum = None
 
     def _apply(self, x):
@@ -129,7 +128,6 @@ class HeterogeneousQuadraticProblem(_FgProblem):
         self.l = l
         self.coeff = coeff  # diagonal of A_i stored as column i
         self.shape = (self.n, self.p)
-        self.name = "balogh"
         self.known_optimum = float(l.sum())
 
     def fg(self, x):
@@ -164,7 +162,7 @@ class LowRankCorrProblem(_FgProblem):
 
     manifold = "spheres"
 
-    def __init__(self, c, r, h=None, name="nlcm"):
+    def __init__(self, c, r, h=None):
         c = _require_symmetric(c, "C")
         n = c.shape[0]
         r = _require_size(r, "r")
@@ -182,7 +180,6 @@ class LowRankCorrProblem(_FgProblem):
         self.r = r
         self.n = n
         self.shape = (self.r, self.n)
-        self.name = name
         self.known_optimum = None
 
     def _check(self, v):
@@ -239,7 +236,7 @@ def ex2_matrix(n):
 
 def gen_ex2(n=500, r=5) -> LowRankCorrProblem:
     """The banded-decay correlation approximation instance (unit weights)."""
-    return LowRankCorrProblem(ex2_matrix(n), r, None, name="ex2")
+    return LowRankCorrProblem(ex2_matrix(n), r)
 
 
 def ex3_matrix(n):
@@ -270,7 +267,7 @@ def gen_ex3(n=500, weighted=False, seed=0, r=5) -> LowRankCorrProblem:
     """The long-range correlation approximation instance, optionally with
     the seeded random symmetric weight matrix."""
     h = ex3_weights(n, seed) if weighted else None
-    return LowRankCorrProblem(ex3_matrix(n), r=r, h=h, name="ex3")
+    return LowRankCorrProblem(ex3_matrix(n), r=r, h=h)
 
 
 def _pca_columns(c, r):

@@ -331,6 +331,8 @@ class GeneralizedConstraint:
         hnorm = np.linalg.norm(h)
         if np.linalg.norm(h - h.T) > 1e-12 * max(1.0, hnorm):
             raise ValueError("H must be symmetric")
+        if np.linalg.eigvalsh(h)[0] < -1e-12 * max(1.0, hnorm):
+            raise ValueError("H must be positive semidefinite (PSD)")
         try:
             # lower Cholesky factor L_K of K = L_K L_K^T
             self.k_lower = scipy.linalg.cholesky(k, lower=True, check_finite=False)

@@ -44,7 +44,6 @@ __all__ = [
     "prepare_state",
     "iterate_once",
     "solve",
-    "solve_generalized",
 ]
 
 STOP_REASONS = ("ResidualRel", "WindowedMeans", "MaxIter", "LineSearchFail")
@@ -307,6 +306,8 @@ class SolverState:
 
 
 def _make_engine(problem, cfg, gc):
+    if gc is not None and not isinstance(gc, GeneralizedConstraint):
+        raise TypeError("gc must be a GeneralizedConstraint")
     manifold = "generalized" if gc is not None else getattr(problem, "manifold", "stiefel")
     if manifold == "stiefel":
         return _StiefelEngine(cfg)
@@ -327,28 +328,30 @@ def prepare_state(problem, x0=None, cfg=None, gc=None) -> SolverState:
     if x0 is None:
         if shape is None:
             raise ValueError("need x0 or a problem exposing .shape for a random start")
-        x0 = engine.reorthogonalize(np.random.default_rng(cfg.seed).standard_normal(shape))
+        x0 = np.random.default_rng(cfg.seed).standard_normal(shape)
+        if gc is None:  # a generalized draw is projected below, like a given x0
+            x0 = engine.reorthogonalize(x0)
     else:
         x0 = np.array(np.asarray(x0), dtype=float, copy=True)
         if shape is not None and x0.shape != tuple(shape):
             raise ValueError(f"x0 has shape {x0.shape}, the problem needs {tuple(shape)}")
-        if gc is not None:
-            scale = max(1.0, float(np.linalg.norm(gc.k)))
-            if engine.feasibility(x0) > 1e-12 * scale:
-                try:  # a singular X^T H X may have a factor that projects off the set
-                    x0 = engine.reorthogonalize(x0)
-                    projected = engine.feasibility(x0) <= START_FEAS_TOL * scale
-                except np.linalg.LinAlgError:
-                    projected = False
-                if not projected:
-                    raise ValueError("x0 cannot be projected onto X^T H X = K: "
-                                     "X^T H X is not numerically positive definite")
-        else:
-            feas = engine.feasibility(x0)
-            if not feas <= START_FEAS_TOL:  # NaN-safe: a non-finite x0 fails too
-                raise ValueError(
-                    f"x0 violates the constraint set: feasibility error {feas:.3e}"
-                )
+    if gc is not None:
+        scale = max(1.0, float(np.linalg.norm(gc.k)))
+        if engine.feasibility(x0) > 1e-12 * scale:
+            try:  # a singular X^T H X may have a factor that projects off the set
+                x0 = engine.reorthogonalize(x0)
+                projected = engine.feasibility(x0) <= START_FEAS_TOL * scale
+            except np.linalg.LinAlgError:
+                projected = False
+            if not projected:
+                raise ValueError("x0 cannot be projected onto X^T H X = K: "
+                                 "X^T H X is not numerically positive definite")
+    else:
+        feas = engine.feasibility(x0)
+        if not feas <= START_FEAS_TOL:  # NaN-safe: a non-finite x0 fails too
+            raise ValueError(
+                f"x0 violates the constraint set: feasibility error {feas:.3e}"
+            )
     f0, g0 = problem.fg(x0)
     f0 = float(f0)
     d, ctx = engine.direction(x0, g0)
@@ -480,26 +483,18 @@ def _run(state: SolverState, t0: float) -> SolverReport:
     )
 
 
-def solve(problem, x0=None, cfg: Optional[SolverConfig] = None) -> SolverReport:
+def solve(problem, x0=None, cfg: Optional[SolverConfig] = None, gc=None) -> SolverReport:
     """Minimize the problem's objective over its constraint set from x0.
 
     The problem needs only fg(x) -> (float, ndarray), called at the start,
     on every line-search trial and once more for f_final at a
-    reorthogonalized returned point. Its optional `manifold` attribute
-    selects the geometry ("stiefel" when absent, "spheres" for unit-column
-    products), and an optional `shape` allows x0=None (a random start). A
-    non-finite F or gradient raises FloatingPointError.
+    reorthogonalized returned point. The constraint selects the geometry: a
+    GeneralizedConstraint gc gives {X : X^T H X = K}, onto which an
+    infeasible x0 is projected by the Cholesky correction X L^{-T} L_K^T;
+    otherwise the problem's optional `manifold` attribute does ("stiefel"
+    when absent, "spheres" for unit-column products). An optional `shape`
+    allows x0=None (a random start). A non-finite F or gradient raises
+    FloatingPointError.
     """
     t0 = time.perf_counter()
-    return _run(prepare_state(problem, x0, cfg), t0)
-
-
-def solve_generalized(
-    problem, x0, gc: GeneralizedConstraint, cfg: Optional[SolverConfig] = None
-) -> SolverReport:
-    """Minimize over {X : X^T H X = K}. An infeasible x0 is projected by the
-    Cholesky correction X L^{-T} L_K^T before the loop starts."""
-    if not isinstance(gc, GeneralizedConstraint):
-        raise TypeError("gc must be a GeneralizedConstraint")
-    t0 = time.perf_counter()
-    return _run(prepare_state(problem, x0, cfg, gc=gc), t0)
+    return _run(prepare_state(problem, x0, cfg, gc), t0)

@@ -21,7 +21,6 @@ from stiefelbb import (
     TraceEigenProblem,
     auglag_solve,
     compute_d_rho,
-    drift_demo,
     ex3_matrix,
     feasibility_error,
     gen_ex2,
@@ -39,12 +38,10 @@ from stiefelbb import (
     retract_polar,
     retract_qr,
     retract_wenyin,
-    run_experiment,
     sample_fixed_entries,
     solve,
-    solve_generalized,
 )
-from stiefelbb.bench import _build_parser
+from stiefelbb.bench import _build_parser, drift_demo, run_experiment
 
 
 def test_criterion_01_feasibility_preservation():
@@ -302,11 +299,11 @@ def test_criterion_10_generalized_constraint_preservation():
     prob = TraceEigenProblem(a + a.T, 3)
     l = sla.cholesky(h, lower=True)
     x0 = sla.solve_triangular(l, random_stiefel(50, 3, seed=0), lower=True, trans="T")
-    res0 = solve_generalized(prob, x0, gc, SolverConfig(max_iter=0)).residual_final
+    res0 = solve(prob, x0, SolverConfig(max_iter=0), gc=gc).residual_final
     cfg = SolverConfig(
         eps=1e-5, eps_x=1e-8, eps_f=1e-12, max_iter=5000, track_feasibility=True
     )
-    rep = solve_generalized(prob, x0, gc, cfg)
+    rep = solve(prob, x0, cfg, gc=gc)
     assert max(rep.feasibility_trace) <= 1e-10
     assert rep.residual_final <= 1e-4 * res0
 
@@ -317,7 +314,7 @@ def test_criterion_11_fixed_entry_outer_loop():
     c = ex3_matrix(200)
     v0 = modified_pca_init(c, 10)
     for seed in range(5):
-        prob = LowRankCorrProblem(c, 10, name="ex10")
+        prob = LowRankCorrProblem(c, 10)
         fes = sample_fixed_entries(200, n_e=3, seed=seed)
         rep = auglag_solve(prob, fes, AugLagConfig(seed=seed), v0=v0)
         assert rep.nu_final <= 3e-8

@@ -33,7 +33,7 @@ def synthetic_weak_instance():
     il, jl = np.tril_indices(50, k=-1)
     order = np.argsort(np.abs(c[il, jl]))[:10]
     fes = FixedEntrySet(il[order] + 1, jl[order] + 1, np.zeros(10))
-    return LowRankCorrProblem(c, 5, name="synthetic"), fes
+    return LowRankCorrProblem(c, 5), fes
 
 
 def unit_columns(v, tol=1e-12):
@@ -154,7 +154,6 @@ class TestSubproblemObjective:
         fes = sample_fixed_entries(8, 1, seed=9)
         sub = AugLagSubproblem(base, fes, np.zeros(len(fes)), 2.0)
         assert sub.shape == base.shape
-        assert sub.name == "ex3+auglag"
         assert sub.manifold == "spheres"
         rng = np.random.default_rng(10)
         v = rng.standard_normal((2, 8))

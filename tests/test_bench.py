@@ -11,15 +11,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stiefelbb import (
-    AugLagConfig,
+from stiefelbb import AugLagConfig
+from stiefelbb.bench import (
+    ENV_OUT_DIR,
+    RECORD_FIELDS,
     RunRecord,
+    _build_parser,
     aggregate_records,
     drift_demo,
+    main,
     read_records,
     write_records,
 )
-from stiefelbb.bench import ENV_OUT_DIR, RECORD_FIELDS, _build_parser, main
 
 
 def sample_record(**overrides):

@@ -1,4 +1,5 @@
-"""Every exported name resolves, in the package and in each submodule."""
+"""Every exported name resolves, in the package and in each submodule, and
+has one home: the package re-exports the library modules, not the CLI."""
 
 import importlib
 import os
@@ -21,6 +22,18 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_cli_names_live_only_in_bench():
+    bench = importlib.import_module("stiefelbb.bench")
+    assert set(bench.__all__) & set(stiefelbb.__all__) == set()
+
+
+def test_package_exports_exactly_the_library_modules():
+    library = [importlib.import_module(m) for m in MODULES[1:] if m != "stiefelbb.bench"]
+    expected = set().union(*(mod.__all__ for mod in library)) | {"__version__"}
+    assert len(set(stiefelbb.__all__)) == len(stiefelbb.__all__)
+    assert set(stiefelbb.__all__) == expected
 
 
 def test_package_import_leaves_the_cli_unloaded():

@@ -140,7 +140,6 @@ class TestHeterogeneousQuadratic:
 
     def test_generator_modes(self):
         prob = heterogeneous_problem(10, 3)
-        assert prob.name == "balogh"
         assert np.array_equal(prob.l, -np.ones(3))
         ra = heterogeneous_problem(10, 3, l_mode="random", seed=11)
         rb = heterogeneous_problem(10, 3, l_mode="random", seed=11)
@@ -200,11 +199,9 @@ class TestLowRankCorr:
         prob = gen_ex2(40, 5)
         assert prob.shape == (5, 40)
         assert prob.manifold == "spheres"
-        assert prob.name == "ex2"
         assert prob.h is None
         wprob = gen_ex3(40, weighted=True, r=3)
         assert wprob.h is not None
-        assert wprob.name == "ex3"
 
     def test_validation(self):
         with pytest.raises(ValueError):

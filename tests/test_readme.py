@@ -3,6 +3,9 @@
 import re
 from pathlib import Path
 
+import pytest
+import scipy.linalg
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -34,3 +37,16 @@ def test_choosing_a_scheme_block_configures_a_solve(capsys):
     rep = scope["solve"](scope["prob"], scope["random_stiefel"](300, 5, seed=1), cfg)
     assert rep.stop_reason in ("ResidualRel", "WindowedMeans")
     assert rep.feasi <= 1e-13
+
+
+def test_generalized_constraint_block_projects_and_solves(capsys):
+    scope = {}
+    exec(python_block("### Generalized constraint"), scope)
+    capsys.readouterr()
+    gc = scope["GeneralizedConstraint"](scope["h"], scope["k"])
+    assert gc.feasibility(scope["x0"]) > 1.0  # the start is projected, not given feasible
+    rep = scope["rep"]
+    assert rep.stop_reason == "ResidualRel"
+    assert gc.feasibility(rep.x_final) <= 1e-12
+    top = scipy.linalg.eigh(scope["prob"].a, scope["h"], eigvals_only=True)[-3:]
+    assert rep.f_final == pytest.approx(-top.sum(), rel=1e-8)

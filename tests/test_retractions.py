@@ -541,6 +541,9 @@ class TestGeneralizedScheme:
             GeneralizedConstraint(np.eye(5), -np.eye(2))  # K not positive definite
         with pytest.raises(ValueError):
             GeneralizedConstraint(np.ones((4, 3)), np.eye(2))  # H not square
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            GeneralizedConstraint(np.diag([1.0, 1.0, 1.0, 1.0, -1e-6]), np.eye(2))
+        GeneralizedConstraint(np.diag([1.0, 0.0, 0.0, 0.0, 0.0]), np.eye(2))  # PSD, singular
 
 
 class TestInverseCurves:

@@ -25,7 +25,6 @@ from stiefelbb import (
     prepare_state,
     random_stiefel,
     solve,
-    solve_generalized,
     solver,
     stepsize,
 )
@@ -387,10 +386,7 @@ class TestDeterminism:
         if geometry == "stiefel":
             # the start's layout alone changes the roundoff of the iterates
             assert x.flags.f_contiguous
-        if gc is None:
-            a, b = solve(prob, cfg=cfg), solve(prob, cfg=cfg)
-        else:
-            a, b = (solve_generalized(prob, None, gc, cfg) for _ in range(2))
+        a, b = solve(prob, cfg=cfg, gc=gc), solve(prob, cfg=cfg, gc=gc)
         assert a.f_history == b.f_history
 
 
@@ -581,7 +577,7 @@ class TestGeneralizedSolve:
         gc = GeneralizedConstraint(np.eye(n), np.eye(p))
         cfg = dict(rho=0.5, max_iter=25, eps=0.0, eps_x=0.0, eps_f=0.0)
         ra = solve(prob, x0, SolverConfig(**cfg))
-        rb = solve_generalized(prob, x0, gc, SolverConfig(**cfg))
+        rb = solve(prob, x0, SolverConfig(**cfg), gc=gc)
         assert len(ra.f_history) == len(rb.f_history)
         np.testing.assert_allclose(ra.f_history, rb.f_history, atol=1e-10)
 
@@ -595,9 +591,7 @@ class TestGeneralizedSolve:
         x0 = np.linalg.solve(
             np.linalg.cholesky(h).T, random_stiefel(n, p, seed=23)
         )  # satisfies X^T H X = I
-        rep = solve_generalized(
-            prob, x0, gc, SolverConfig(track_feasibility=True, eps=1e-6)
-        )
+        rep = solve(prob, x0, SolverConfig(track_feasibility=True, eps=1e-6), gc=gc)
         g = prob.fg(rep.x_final)[1]
         hx = h @ rep.x_final
         res = np.linalg.norm(g @ (hx.T @ hx) - hx @ (g.T @ hx))
@@ -618,8 +612,8 @@ class TestGeneralizedSolve:
         prob = TraceEigenProblem(a + a.T, 3)
         x0 = np.linalg.solve(np.linalg.cholesky(h).T, random_stiefel(50, 3, seed=0))
         cfg = SolverConfig(eps=1e-5, eps_x=1e-8, eps_f=1e-12, max_iter=5000)
-        rep = solve_generalized(prob, x0, gc, cfg)
-        res0 = solve_generalized(prob, x0, gc, replace(cfg, max_iter=0)).residual_final
+        rep = solve(prob, x0, cfg, gc=gc)
+        res0 = solve(prob, x0, replace(cfg, max_iter=0), gc=gc).residual_final
         assert rep.residual_initial == res0
 
     def test_stationary_start_stops_immediately(self):
@@ -627,13 +621,14 @@ class TestGeneralizedSolve:
         x0 = np.zeros((4, 2))
         x0[0, 0] = x0[1, 1] = 1.0
         gc = GeneralizedConstraint(np.eye(4), np.eye(2))
-        rep = solve_generalized(prob, x0, gc)
+        rep = solve(prob, x0, gc=gc)
         assert rep.iters == 0 and rep.stop_reason == "ResidualRel"
 
     def test_requires_constraint_object(self):
         prob = random_eigen(6, 2, seed=25)
-        with pytest.raises(TypeError):
-            solve_generalized(prob, random_stiefel(6, 2, seed=25), np.eye(6))
+        for entry in (solve, prepare_state):
+            with pytest.raises(TypeError, match="GeneralizedConstraint"):
+                entry(prob, random_stiefel(6, 2, seed=25), gc=np.eye(6))
 
     @pytest.mark.parametrize("kind", ["polar", "literal"])
     def test_non_new_scheme_rejected(self, kind):
@@ -641,21 +636,29 @@ class TestGeneralizedSolve:
         prob = random_eigen(6, 2, seed=27)
         gc = GeneralizedConstraint(np.eye(6), np.eye(2))
         with pytest.raises(ValueError, match="only scheme kind 'new'"):
-            solve_generalized(prob, random_stiefel(6, 2, seed=27), gc, SolverConfig(scheme=kind))
+            solve(prob, random_stiefel(6, 2, seed=27), SolverConfig(scheme=kind), gc=gc)
 
-    @pytest.mark.parametrize("case", ["negative-h", "equal-columns"])
+    @pytest.mark.parametrize("case", ["negative-h", "equal-columns", "rank-deficient-h"])
     def test_unprojectable_start_says_why(self, case):
         prob = random_eigen(10, 2, seed=28)
         x0 = np.random.default_rng(28).standard_normal((10, 2))
         if case == "negative-h":
-            gc = GeneralizedConstraint(-np.eye(10), np.eye(2))
-        else:
+            # no X has X^T H X = K, which the constraint says when it is built
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                GeneralizedConstraint(-np.eye(10), np.eye(2))
+            return
+        if case == "equal-columns":
             # X^T X is singular, yet here it has a Cholesky factor in roundoff,
             # whose projection lands far off the set
             gc = GeneralizedConstraint(np.eye(10), np.eye(2))
             x0[:, 1] = x0[:, 0]
+        else:
+            # a rank-one H makes X^T H X singular for the random start too
+            prob = TraceEigenProblem(np.diag(np.arange(10.0)), 2)
+            gc = GeneralizedConstraint(np.diag([1.0] + [0.0] * 9), np.eye(2))
+            x0 = None
         with pytest.raises(ValueError, match="not numerically positive definite"):
-            solve_generalized(prob, x0, gc)
+            solve(prob, x0, gc=gc)
 
     def test_infeasible_start_projected_then_solved(self):
         n, p = 10, 2
@@ -663,5 +666,5 @@ class TestGeneralizedSolve:
         h = self.spd(n, 26)
         gc = GeneralizedConstraint(h, np.eye(p))
         x0 = np.random.default_rng(26).standard_normal((n, p))  # infeasible
-        rep = solve_generalized(prob, x0, gc, SolverConfig())
+        rep = solve(prob, x0, SolverConfig(), gc=gc)
         assert gc.feasibility(rep.x_final) <= 1e-12
