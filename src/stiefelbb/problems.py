@@ -41,11 +41,14 @@ def _require_symmetric(a, name):
     return a
 
 
-def _require_size(value, name):
-    """A dimension n, p or r as an int; like the solver's budgets, it must be
-    an int or a numpy integer (2.0 is rejected too)."""
+def _require_size(value, name, least=1):
+    """A dimension n, p or r (or the count n_e, least=0) as an int; like the
+    solver's budgets, it must be an int or a numpy integer (2.0 is rejected
+    too), and at least `least`."""
     if not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
     return int(value)
 
 
@@ -394,7 +397,7 @@ def sample_fixed_entries(n, n_e=3, seed=0, values=None):
     """Seeded index sampling: for each row i, min(n_e, n - i) distinct columns
     j > i, stored as strict-lower pairs. values=None prescribes q = 0
     everywhere; a callable values(i, j) supplies individual targets."""
-    n, n_e = _require_size(n, "n"), _require_size(n_e, "n_e")
+    n, n_e = _require_size(n, "n"), _require_size(n_e, "n_e", least=0)
     rng = np.random.default_rng(seed)
     rows, cols, vals = [], [], []
     for i in range(1, n + 1):

@@ -1,12 +1,11 @@
-"""Constraint-preserving update schemes (retractions) for St(n, p).
+"""Constraint-preserving curves on St(n, p), X^T H X = K and unit spheres.
 
 Every scheme maps a point X and a direction to a curve Y(tau) that stays
 feasible for all tau >= 0 and leaves X with a prescribed initial velocity.
 Each retract_<kind> builder checks its inputs and returns the curve object
-the solver's engines build for that kind (retract_new: the "literal" kind).
-curve.eval(tau) gives Y(tau), and the tau-independent blocks formed at
-construction are reused by every evaluation, so backtracking over tau costs
-only the small tau-dependent work.
+the solver's engines build for that kind. curve.eval(tau) gives Y(tau), and
+the tau-independent blocks formed at construction are reused by every
+evaluation, so backtracking over tau costs only the small tau-dependent work.
 """
 
 import math
@@ -58,39 +57,20 @@ def gtau_function(name):
         raise ValueError(f"unknown gtau {name!r}, expected one of {GTAU_NAMES}") from None
 
 
-def _entry_max(*blocks):
-    """The largest |entry| of each block, the bounds of _checked_jinv_k."""
-    return tuple(float(np.abs(m).max()) for m in blocks)
-
-
-def _checked_jinv_k(k, m1, m2, bounds, tau, g):
-    """J^{-1} K for J = K + tau^2/4 M1 + g(tau) M2, one LAPACK gesv solve.
-
-    Raises LinAlgError, so that the line search shrinks the step without an
-    evaluation, when J would not be finite (an overflowing or NaN tau), when
-    J is singular (an exact zero pivot) or when J^{-1} K is not finite. The
-    first test runs before J is formed, in Python floats, which overflow
-    without a warning: with bounds = (max|K|, max|M1|, max|M2|) the same sum
-    bounds every entry of J.
-    """
-    a, b = 0.25 * tau * tau, g(tau)
-    if not bounds[0] + a * bounds[1] + abs(b) * bounds[2] < math.inf:
-        raise np.linalg.LinAlgError(
-            "J not finite; the trial stepsize is catastrophically large"
-        )
-    jinv_k = np.linalg.solve(k + a * m1 + b * m2, k)
-    if not np.isfinite(jinv_k).all():
-        raise np.linalg.LinAlgError("J numerically singular")
-    return jinv_k
-
-
 class _NewCurve:
     """Y(tau) = (2X + tau W) J(tau)^{-1} K - X, J = K + tau^2/4 W^T H W + g(tau) X^T H D.
 
     The new scheme on {X^T H X = K}; Stiefel is H = K = I, the default k,
     where the solve against K = I is numpy's inverse bit for bit. W and the
     tau-independent blocks come from the builder; each eval costs one p x p
-    assembly, one p x p solve and one n x p GEMM.
+    assembly, one LAPACK gesv solve and one n x p GEMM.
+
+    eval raises LinAlgError, so that the line search shrinks the step without
+    an evaluation, when J would not be finite (an overflowing or NaN tau),
+    when J is singular (an exact zero pivot) or when J^{-1} K is not finite.
+    The first test runs before J is formed, in Python floats, which overflow
+    without a warning: the largest |entry| of K, W^T H W and X^T H D, summed
+    with the weights of J, bounds every entry of J.
     """
 
     def __init__(self, x, d, w, wthw, xthd, gtau, k=None):
@@ -101,26 +81,48 @@ class _NewCurve:
         self.wthw = wthw
         self.xthd = xthd
         self.g = gtau_function(gtau)
-        self._bounds = _entry_max(self.k, wthw, xthd)
+        self._bounds = tuple(float(np.abs(m).max()) for m in (self.k, wthw, xthd))
 
     def eval(self, tau):
-        jinv_k = _checked_jinv_k(self.k, self.wthw, self.xthd, self._bounds, tau, self.g)
+        a, b = 0.25 * tau * tau, self.g(tau)
+        k_max, wthw_max, xthd_max = self._bounds
+        if not k_max + a * wthw_max + abs(b) * xthd_max < math.inf:
+            raise np.linalg.LinAlgError(
+                "J not finite; the trial stepsize is catastrophically large"
+            )
+        jinv_k = np.linalg.solve(self.k + a * self.wthw + b * self.xthd, self.k)
+        if not np.isfinite(jinv_k).all():
+            raise np.linalg.LinAlgError("J numerically singular")
         return (2.0 * self.x + tau * self.w) @ jinv_k - self.x
+
+
+def _new_curve(x, e, xte, gtau):
+    """The new curve on X^T X = I, built so that drift never feeds back.
+
+    The J block xte equals X^T E on the manifold and is skew for ANY X, so it
+    never feeds feasibility error back into the curve. The projection
+    W = X (X^T X)^{-1} X^T E - E has X^T W = 0 up to solve roundoff even at a
+    drifted X; that roundoff scales with ||E||, vanishing as the loop
+    converges (building W from G instead leaves a floor of eps_mach ||G||
+    that accumulates).
+    """
+    w = x @ np.linalg.solve(x.T @ x, x.T @ e) - e
+    return _NewCurve(x, e, w, w.T @ w, xte, gtau)
 
 
 def _literal_curve(x, e, gtau):
     """The "literal" kind: the Stiefel new curve with its formulas as written,
-    W = X X^T E - E and the J block X^T E. Off the manifold both feed drift back."""
+    W = X X^T E - E and the J block X^T E. Once X drifts, X^T W != 0 and
+    sym(X^T E) != 0 feed the drift back, so it grows along a run."""
     xte = x.T @ e
     w = x @ xte - e
     return _NewCurve(x, e, w, w.T @ w, xte, gtau)
 
 
 def retract_new(x, e, gtau="linear"):
-    """The update scheme Y(tau) = (2X + tau W) J^{-1} - X, W = -(I - X X^T) E.
-
-    This is the "literal" kind's curve. The solver's "new" kind re-anchors it
-    (J block from G, W through (X^T X)^{-1}); on the manifold they are equal.
+    """The update scheme Y(tau) = (2X + tau W) J^{-1} - X, W = -(I - X X^T) E,
+    built as the solver's "new" kind builds it: its own output fed back stays
+    feasible at roundoff.
 
     Parameters
     ----------
@@ -133,11 +135,11 @@ def retract_new(x, e, gtau="linear"):
         The g(tau) term in J: tau/2 or tau*exp(-tau)/2.
     """
     x, e = _checked_pair(x, e, "E")
-    curve = _literal_curve(x, e, gtau)
-    viol = np.linalg.norm(curve.xthd + curve.xthd.T)
+    xte = x.T @ e
+    viol = np.linalg.norm(xte + xte.T)
     if viol > 1e-6 * max(1.0, np.linalg.norm(e)):
         raise ValueError(f"E is not tangent at X: ||X^T E + E^T X||_F = {viol:.3e}")
-    return curve
+    return _new_curve(x, e, 0.5 * (xte - xte.T), gtau)
 
 
 class _PolarCurve:
@@ -305,8 +307,8 @@ def retract_lowrank_column(x, g):
     return _LowRankCurve(*_checked_pair(x, g, "G"))
 
 
-# the curve class of each Stiefel kind but "new" and "literal" (whose W and J
-# blocks the solver's engine builds itself); SCHEME_KINDS keeps this order
+# the curve class of each Stiefel kind but "new" and "literal" (built by
+# _new_curve and _literal_curve); SCHEME_KINDS keeps this order
 _CURVES = {
     "polar": _PolarCurve,
     "qr": _QrCurve,
@@ -316,6 +318,35 @@ _CURVES = {
     "lowrank": _LowRankCurve,
 }
 SCHEME_KINDS = ("new", "literal", *_CURVES)
+
+
+class _SphereCurve:
+    """Per-column curve of the new scheme on a product of unit spheres.
+
+    For a single sphere D_rho = G - v v^T G for every rho, and the
+    g(tau) v^T E block of J is a 1x1 skew matrix, i.e. exactly zero, so J is
+    the diagonal J_i = 1 + tau^2/4 ||w_i||^2 whatever rho and g(tau).
+    """
+
+    def __init__(self, v, w):
+        self.v = v
+        self.w = w
+        self.wsq = np.einsum("ij,ij->j", w, w)
+
+    def eval(self, tau):
+        j = 1.0 + (0.25 * tau * tau) * self.wsq  # >= 1 wherever finite
+        if not np.isfinite(j).all():
+            raise np.linalg.LinAlgError("diagonal J numerically singular")
+        return (2.0 * self.v + tau * self.w) / j - self.v
+
+
+def _sphere_curve(v, d):
+    """The sphere curve leaving the unit columns of V along -D; its
+    W = v_i v_i^T d_i / ||v_i||^2 - d_i has v_i^T w_i = 0 exactly, even after
+    the columns have drifted."""
+    vtd = np.einsum("ij,ij->j", v, d)
+    vv = np.einsum("ij,ij->j", v, v)
+    return _SphereCurve(v, v * (vtd / vv) - d)
 
 
 class GeneralizedConstraint:

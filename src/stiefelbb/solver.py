@@ -22,10 +22,11 @@ from .retractions import (
     GTAU_NAMES,
     SCHEME_KINDS,
     GeneralizedConstraint,
-    _NewCurve,
     _generalized_curve,
     _generalized_direction,
     _literal_curve,
+    _new_curve,
+    _sphere_curve,
 )
 from .stepsize import (
     LineSearchError,
@@ -166,24 +167,9 @@ class _StiefelEngine:
         built from G."""
         kind = self.kind
         if kind == "new":
-            # drift-safe variant: the J block takes the expression
-            # 2 rho (X^T G - G^T X), which equals X^T D_rho on the
-            # manifold and is skew for ANY X, so it never feeds
-            # feasibility error back into the curve; and
-            # W-hat = -(I - X (X^T X)^{-1} X^T) D_rho has X^T W-hat = 0
-            # up to solve roundoff even at a drifted X.  The roundoff
-            # scales with ||D||, vanishing as the loop converges
-            # (building W-hat from G instead leaves a floor of
-            # eps_mach ||G|| that accumulates over long runs).
-            xte = (2.0 * self.rho) * (xtg - xtg.T)
-            w = x @ np.linalg.solve(x.T @ x, x.T @ d) - d
-            curve = _NewCurve(x, d, w, w.T @ w, xte, self.gtau)
+            # 2 rho (X^T G - G^T X) is X^T D_rho on the manifold, skew for any X
+            curve = _new_curve(x, d, (2.0 * self.rho) * (xtg - xtg.T), self.gtau)
         elif kind == "literal":
-            # formulas evaluated as written: both the projection
-            # W = -(I - X X^T) D_rho and the J block X^T D_rho are taken
-            # literally.  Once X drifts, X^T W = (X^T X - I) X^T D != 0 and
-            # sym(X^T D) != 0, and both feed the drift back into the next
-            # iterate, so orthonormality error grows along the run.
             curve = _literal_curve(x, d, self.gtau)
         elif getattr(_CURVES[kind], "follows_g", False):
             curve = _CURVES[kind](x, g, xtg)
@@ -203,26 +189,6 @@ class _StiefelEngine:
         return math.sqrt(x.shape[0])
 
 
-class _SphereCurve:
-    """Per-column curve of the new scheme on a product of unit spheres.
-
-    For a single sphere D_rho = G - v v^T G for every rho, and the
-    g(tau) v^T E block of J is a 1x1 skew matrix, i.e. exactly zero, so J is
-    the diagonal J_i = 1 + tau^2/4 ||w_i||^2 whatever rho and g(tau).
-    """
-
-    def __init__(self, v, w):
-        self.v = v
-        self.w = w
-        self.wsq = np.einsum("ij,ij->j", w, w)
-
-    def eval(self, tau):
-        j = 1.0 + (0.25 * tau * tau) * self.wsq  # >= 1 wherever finite
-        if not np.isfinite(j).all():
-            raise np.linalg.LinAlgError("diagonal J numerically singular")
-        return (2.0 * self.v + tau * self.w) / j - self.v
-
-
 class _SphereEngine:
     """The same loop on {V in R^{r x n} : every column has unit norm}; it
     runs only the drift-safe curve of the new scheme."""
@@ -233,11 +199,7 @@ class _SphereEngine:
         return d, vg
 
     def curve_and_slope(self, v, g, d, vg):
-        # v_i^T w_i = 0 exactly, even after the columns have drifted
-        vtd = np.einsum("ij,ij->j", v, d)
-        vv = np.einsum("ij,ij->j", v, v)
-        w = v * (vtd / vv) - d
-        return _SphereCurve(v, w), -float(np.vdot(g, d))
+        return _sphere_curve(v, d), -float(np.vdot(g, d))
 
     def feasibility(self, v) -> float:
         return float(np.linalg.norm(np.einsum("ij,ij->j", v, v) - 1.0))

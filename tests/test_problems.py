@@ -264,6 +264,27 @@ class TestSizes:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             build()
 
+    @pytest.mark.parametrize(
+        "build, name, least",
+        [
+            (lambda: ex2_matrix(0), "n", 1),
+            (lambda: ex3_matrix(-2), "n", 1),
+            (lambda: ex3_weights(0), "n", 1),
+            (lambda: sample_fixed_entries(0), "n", 1),
+            (lambda: sample_fixed_entries(10, -3), "n_e", 0),
+            (lambda: heterogeneous_problem(10, np.int64(0)), "p", 1),
+            (lambda: LowRankCorrProblem(np.eye(3), 0), "r", 1),
+        ],
+        ids=["ex2-n", "ex3-n", "weights-n", "pins-n", "pins-n_e", "generator-p", "corr-r"],
+    )
+    def test_too_small_size_rejected(self, build, name, least):
+        # the first five returned empty results before sizes had a floor
+        with pytest.raises(ValueError, match=f"^{name} must be at least {least}, got -?\\d+$"):
+            build()
+
+    def test_zero_pins_per_row_accepted(self):
+        assert len(sample_fixed_entries(10, 0).rows) == 0
+
     def test_numpy_integer_sizes_accepted(self):
         balogh = heterogeneous_problem(np.int64(10), np.int32(2))
         corr = LowRankCorrProblem(np.eye(3), np.int64(2))

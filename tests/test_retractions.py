@@ -23,6 +23,7 @@ from stiefelbb import (
     retract_qr,
     retract_wenyin,
 )
+from stiefelbb.bench import _tridiag_mul
 from stiefelbb.solver import _SphereEngine, _StiefelEngine
 
 
@@ -195,6 +196,17 @@ class TestNewScheme:
             y = retract_new(x, d).eval(tau)
             o = polar_project(y.T @ x).T
             assert np.linalg.norm(y - x @ o) > 1e-8
+
+    def test_own_output_stays_feasible(self):
+        # fed its own iterates, the public builder keeps X^T X = I at
+        # roundoff: the literal formulas drift to ~3e-7 here and fail the
+        # tangency check within 20 steps
+        prob = TraceEigenProblem(_tridiag_mul, 6, n=1000)
+        x = random_stiefel(1000, 6, seed=0)
+        for _ in range(300):
+            d = compute_d_rho(x, prob.fg(x)[1], 0.25)
+            x = retract_new(x, d).eval(1.0 / np.linalg.norm(d))
+            assert feasibility_error(x) <= 1e-12
 
     def test_condition_bound_on_j(self):
         # cond(J) <= (5 + ups^2)/4 with ups = tau ||D||_F, any rho and gtau
@@ -547,9 +559,9 @@ class TestGeneralizedScheme:
 
 
 class TestInverseCurves:
-    """The new and generalized curves evaluate Y through one explicit p x p
-    inverse; they must match the literal transposed solve and keep reporting
-    a singular or overflowing J."""
+    """The new and generalized curves evaluate Y through one p x p solve
+    against K; they must match the literal transposed solve and keep
+    reporting a singular or overflowing J."""
 
     @staticmethod
     def curves():
